@@ -14,6 +14,11 @@ Conventions (normative for the whole package):
   where iota_x is the standard degree-(-1) interior product.  The sign
   of this convention is pinned operationally by the symplectic module,
   which checks Lambda(omega) = n at construction time.
+
+Coefficients follow the canonical-entry rule of the linalg module: a
+stored coefficient is a plain, normalized `Fraction`, and any other
+value is converted once on the way in (`Form`, `Form.monomial`, scalar
+multiplication, `Bivector`).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimMismatch, MixedDegree
-from .linalg import QMatrix, Vector
+from .linalg import QMatrix, Vector, _exact
 
 __all__ = [
     "MultiIndex",
@@ -121,15 +126,15 @@ class Form:
             raise ValueError(f"degree {degree} outside 0..{dim}")
         clean: dict[MultiIndex, Fraction] = {}
         if coeffs:
+            # The lex basis holds exactly the valid keys of this degree.
+            valid = _positions(dim, degree)
             for key, value in coeffs.items():
-                c = Fraction(value)
+                c = _exact(value)
                 if not c:
                     continue
-                if len(key) != degree:
-                    raise ValueError(f"monomial {key} has wrong degree (expected {degree})")
-                if any(not 1 <= i <= dim for i in key) or any(
-                    key[i] >= key[i + 1] for i in range(len(key) - 1)
-                ):
+                if key not in valid:
+                    if len(key) != degree:
+                        raise ValueError(f"monomial {key} has wrong degree (expected {degree})")
                     raise ValueError(f"bad monomial {key} for dim {dim}")
                 clean[key] = c
         self.dim = dim
@@ -148,7 +153,7 @@ class Form:
         sign, key = sort_with_sign(tuple(indices))
         if sign == 0:
             return cls.zero(dim, 0)
-        return cls(dim, len(key), {key: Fraction(coeff) * sign})
+        return cls(dim, len(key), {key: _exact(coeff) * sign})
 
     @classmethod
     def unit(cls, dim: int) -> Form:
@@ -197,7 +202,7 @@ class Form:
         return Form(self.dim, self.degree, {k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, scalar) -> Form:
-        f = Fraction(scalar)
+        f = _exact(scalar)
         return Form(self.dim, self.degree, {k: f * c for k, c in self.coeffs.items()})
 
     __rmul__ = __mul__
@@ -293,7 +298,7 @@ class Bivector:
     def __post_init__(self):
         clean = {}
         for (i, j), value in self.coeffs.items():
-            c = Fraction(value)
+            c = _exact(value)
             if not c:
                 continue
             if not (1 <= i < j <= self.dim):

@@ -10,6 +10,12 @@ Subspaces are stored by their unique RREF basis, so subspace equality
 is literal equality of matrices.  All values are immutable after
 construction and all functions are pure; nothing here keeps shared
 mutable state.
+
+Canonical entries: every stored entry is a plain `Fraction` (``type(x)
+is Fraction``), which CPython keeps in lowest terms with a positive
+denominator.  Such a value is stored as is; anything else (int, bool,
+str, a Fraction subclass) is converted once with ``Fraction(x)``.  The
+rule lives in `_exact`, which the exterior module shares.
 """
 
 from __future__ import annotations
@@ -46,8 +52,13 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _exact(x) -> Fraction:
+    """*x* as a canonical Fraction; a plain Fraction already is one."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def as_vector(values: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in values)
+    return tuple(map(_exact, values))
 
 
 class QMatrix:
@@ -56,7 +67,7 @@ class QMatrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
-        frozen = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        frozen = tuple(tuple(map(_exact, row)) for row in rows)
         if frozen:
             width = len(frozen[0])
             if any(len(row) != width for row in frozen):
@@ -158,7 +169,7 @@ class QMatrix:
         return QMatrix([[-x for x in row] for row in self.rows], self.ncols)
 
     def scaled(self, factor) -> QMatrix:
-        f = Fraction(factor)
+        f = _exact(factor)
         return QMatrix([[f * x for x in row] for row in self.rows], self.ncols)
 
     # -- comparison ----------------------------------------------------

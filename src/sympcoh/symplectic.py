@@ -16,7 +16,6 @@ decision procedures, which keeps bulk randomized runs fast.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -39,7 +38,7 @@ from .exterior import (
     top_coefficient,
 )
 from .lie import LieAlgebra
-from .linalg import QMatrix, Subspace, inverse, kernel, _det_rows
+from .linalg import QMatrix, Subspace, inverse, kernel, solve, _det_rows
 
 __all__ = [
     "SymplecticStructure",
@@ -386,8 +385,9 @@ class SymplecticStructure:
         Postconditions are enforced: every component is primitive, the
         reassembly reproduces the input exactly, and the result matches
         the independent linear-solve decomposition over the direct sum
-        of the L^r-shifted primitive subspaces (which wins, with a
-        warning, should the two ever disagree).
+        of the L^r-shifted primitive subspaces.  A failed postcondition,
+        disagreement with that decomposition included, raises
+        InternalInconsistencyError.
         """
         k = form.degree
         n = self.n
@@ -424,13 +424,10 @@ class SymplecticStructure:
             )
         oracle = self.lefschetz_decompose_by_projection(form)
         if any(components[r] != oracle.components[r] for r in components):
-            warnings.warn(
+            raise InternalInconsistencyError(
                 "closed-form Lefschetz projectors disagree with the linear-solve "
-                "decomposition; using the linear-solve answer",
-                RuntimeWarning,
-                stacklevel=2,
+                f"decomposition of the degree-{k} input"
             )
-            return oracle
         return result
 
     def lefschetz_decompose_by_projection(self, form: Form) -> LefschetzComponents:
@@ -450,7 +447,7 @@ class SymplecticStructure:
                 columns.append(lifted.coeff_vector())
                 tags.append((r, vec))
         matrix = QMatrix.from_columns(columns, nrows=comb(self.dim, k))
-        solution = _solve_full_rank(matrix, form.coeff_vector())
+        solution = solve(matrix, form.coeff_vector())
         if solution is None:
             raise InternalInconsistencyError(
                 f"degree-{k} form is not in the span of the Lefschetz summands"
@@ -467,12 +464,6 @@ class SymplecticStructure:
 
 def _r_range(k: int, n: int) -> range:
     return range(max(k - n, 0), k // 2 + 1)
-
-
-def _solve_full_rank(matrix: QMatrix, rhs):
-    from .linalg import solve
-
-    return solve(matrix, rhs)
 
 
 def validate_symplectic(g: LieAlgebra, omega: Form) -> SymplecticStructure:

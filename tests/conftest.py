@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from sympcoh import SymplecticCohomology, corpus, structure_from_model
@@ -35,3 +37,21 @@ def example4(corpus_engines):
 @pytest.fixture(scope="session")
 def torus6(corpus_engines):
     return corpus_engines["torus6"]
+
+
+class Half(Fraction):
+    """A Fraction subclass: equal values, but not the canonical type."""
+
+
+@pytest.fixture(
+    params=[
+        (3, Fraction(3)),
+        (True, Fraction(1)),
+        ("1/2", Fraction(1, 2)),
+        (Half(1, 2), Fraction(1, 2)),
+    ],
+    ids=["int", "bool", "str", "subclass"],
+)
+def loose_entry(request):
+    """(value, exact): one value per kind the canonical-entry rule converts."""
+    return request.param

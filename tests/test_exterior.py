@@ -142,6 +142,42 @@ class TestFormBasics:
         assert render_form(wide) == "e[1,10]"
 
 
+class TestCoefficientBoundary:
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ((0, 2), "bad monomial"),
+            ((1, 5), "bad monomial"),
+            ((2, 1), "bad monomial"),
+            ((1, 1), "bad monomial"),
+            ((1, 2, 3), "wrong degree"),
+            ((1,), "wrong degree"),
+        ],
+    )
+    def test_bad_keys_raise(self, key, message):
+        with pytest.raises(ValueError, match=message):
+            Form(4, 2, {key: 1})
+
+    def test_loose_values_become_plain_fractions(self, loose_entry):
+        value, exact = loose_entry
+        stored = [
+            Form(4, 2, {(1, 3): value}).coeffs[(1, 3)],
+            Form.monomial(4, (1, 3), value).coeffs[(1, 3)],
+            (Form.monomial(4, (1, 3)) * value).coeffs[(1, 3)],
+            Bivector(4, {(1, 3): value}).coeffs[(1, 3)],
+        ]
+        for x in stored:
+            assert x == exact
+            assert type(x) is Fraction
+
+    @pytest.mark.parametrize("zero", [0, False, "0/5", Fraction(0)])
+    def test_zero_coefficients_dropped(self, zero):
+        form = Form(4, 2, {(1, 2): zero, (3, 4): 1})
+        assert list(form.coeffs) == [(3, 4)]
+        assert Bivector(4, {(1, 2): zero}).coeffs == {}
+        assert (Form.monomial(4, (1, 2)) * zero).is_zero()
+
+
 class TestContraction:
     def test_low_degree_vanishes(self):
         xi = Bivector(4, {(1, 2): Fraction(1)})

@@ -18,7 +18,7 @@ from sympcoh import (
     subspace_intersect,
     subspace_sum,
 )
-from sympcoh.linalg import det
+from sympcoh.linalg import as_vector, det
 
 
 def F(x):
@@ -220,3 +220,29 @@ class TestSolveInverse:
         for row in reduced.rows:
             for x in row:
                 assert x.denominator > 0
+
+
+class TestCanonicalEntries:
+    def test_ragged_rows(self):
+        with pytest.raises(ValueError, match="ragged"):
+            QMatrix([[1, 2], [3]])
+
+    def test_ncols_mismatch(self):
+        with pytest.raises(ValueError, match="expected 3 columns, got 2"):
+            QMatrix([[1, 2]], ncols=3)
+
+    def test_loose_values_become_plain_fractions(self, loose_entry):
+        value, exact = loose_entry
+        stored = [
+            QMatrix([[value, 0]]).rows[0][0],
+            as_vector([value])[0],
+            QMatrix([[1]]).scaled(value).rows[0][0],
+        ]
+        for x in stored:
+            assert x == exact
+            assert type(x) is Fraction
+
+    def test_plain_fractions_stored_as_is(self):
+        x = F("6/4")
+        assert QMatrix([[x]]).rows[0][0] is x
+        assert as_vector([x])[0] is x

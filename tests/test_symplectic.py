@@ -7,6 +7,8 @@ import pytest
 from sympcoh import (
     Degenerate,
     Form,
+    InternalInconsistencyError,
+    LefschetzComponents,
     NotClosed,
     OddDimension,
     build_lie_algebra,
@@ -177,6 +179,16 @@ class TestLefschetzDecomposition:
             by_formula = ex1.lefschetz_decompose(form)
             by_solve = ex1.lefschetz_decompose_by_projection(form)
             assert by_formula.components == by_solve.components
+
+    def test_oracle_disagreement_raises(self, ex1, monkeypatch):
+        form = Form.monomial(6, (1, 3, 6))
+        right = ex1.lefschetz_decompose_by_projection(form)
+        wrong = LefschetzComponents(
+            right.degree, right.half_dim, {r: b * 2 for r, b in right.components.items()}
+        )
+        monkeypatch.setattr(ex1, "lefschetz_decompose_by_projection", lambda f: wrong)
+        with pytest.raises(InternalInconsistencyError, match="disagree"):
+            ex1.lefschetz_decompose(form)
 
 
 class TestPrimitiveSubspaces:
