@@ -269,16 +269,8 @@ class SymplecticCohomology:
             return group
         space = self.de_rham[degree]
         prim = self.s.primitive_subspace(s)
-        ambient = space.numerator.ambient_dim
-        lifted = []
-        for vec in prim.basis.rows:
-            form = Form.from_vector(self.s.dim, s, vec)
-            for _ in range(r):
-                form = self.s.L(form)
-            lifted.append(
-                form.coeff_vector() if not form.is_zero() else (Fraction(0),) * ambient
-            )
-        shifted = Subspace.from_vectors(ambient, lifted)
+        lifted = self.s.L_power_block(r, s) @ prim.basis.transpose()
+        shifted = Subspace.from_vectors(space.numerator.ambient_dim, lifted.columns())
         closed_part = subspace_intersect(shifted, space.numerator)
         class_vectors = [space.class_of(vec) for vec in closed_part.basis.rows]
         classes = Subspace.from_vectors(space.dim, class_vectors)
@@ -318,27 +310,15 @@ class SymplecticCohomology:
         """Matrix of L^power from H^from_degree to H^{from_degree + 2 power}.
 
         Well-defined because [d, L] = 0; each representative is pushed
-        through the form-level operator and projected back to class
-        coordinates.
+        through the L^power block and projected back to class coordinates.
         """
         key = (power, from_degree)
         cached = self._l_matrices.get(key)
         if cached is not None:
             return cached
-        source = self.de_rham[from_degree]
-        target = self.de_rham[from_degree + 2 * power]
-        columns = []
-        for rep in source.representatives:
-            form = rep
-            for _ in range(power):
-                form = self.s.L(form)
-            vec = (
-                form.coeff_vector()
-                if not form.is_zero()
-                else (Fraction(0),) * target.numerator.ambient_dim
-            )
-            columns.append(target.class_of(vec))
-        matrix = QMatrix.from_columns(columns, nrows=target.dim)
+        matrix = _induced_l_power(
+            self.s, power, self.de_rham[from_degree], self.de_rham[from_degree + 2 * power]
+        )
         self._l_matrices[key] = matrix
         return matrix
 
@@ -474,19 +454,7 @@ class SymplecticCohomology:
                 raise InternalInconsistencyError(
                     f"H_(d+d^Lambda) dims differ: {low.dim} vs {high.dim} at k={k}"
                 )
-            columns = []
-            for rep in low.representatives:
-                form = rep
-                for _ in range(k):
-                    form = self.s.L(form)
-                vec = (
-                    form.coeff_vector()
-                    if not form.is_zero()
-                    else (Fraction(0),) * high.numerator.ambient_dim
-                )
-                columns.append(high.class_of(vec))
-            matrix = QMatrix.from_columns(columns, nrows=high.dim)
-            _, _, rank = rref(matrix)
+            _, _, rank = rref(_induced_l_power(self.s, k, low, high))
             if rank != low.dim:
                 raise InternalInconsistencyError(
                     f"L^{k} not injective on H^{n - k}_(d+d^Lambda)"
@@ -517,3 +485,12 @@ class SymplecticCohomology:
                     )
             results[k] = True
         return results
+
+
+def _induced_l_power(
+    s: SymplecticStructure, power: int, source: CohomologySpace, target: CohomologySpace
+) -> QMatrix:
+    """Matrix of L^power from *source* to *target* in class coordinates."""
+    lift = s.L_power_block(power, source.degree)
+    images = lift @ QMatrix.from_columns(source.quotient.representatives, nrows=lift.ncols)
+    return QMatrix.from_columns([target.class_of(v) for v in images.columns()], nrows=target.dim)

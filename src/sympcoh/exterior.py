@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import DimMismatch, MixedDegree
 from .linalg import QMatrix, Vector, _exact
@@ -47,6 +47,7 @@ __all__ = [
     "Bivector",
     "GradedOperator",
     "operator_matrix",
+    "nonzero_columns",
     "render_form",
 ]
 
@@ -393,20 +394,31 @@ class GradedOperator:
 
     @classmethod
     def materialize(
-        cls,
-        dim: int,
-        shift: int | None,
-        action: Callable[[Form], Form],
-        degrees: Iterable[int] | None = None,
+        cls, dim: int, shift: int | None, action: Callable[[Form], Form]
     ) -> GradedOperator:
-        if degrees is None:
-            degrees = range(dim + 1)
+        """Blocks of the operator whose action on basis monomials is *action*."""
         blocks = {}
-        for k in degrees:
+        for k in range(dim + 1):
             t = dim - k if shift is None else k + shift
             if 0 <= t <= dim:
                 blocks[k] = operator_matrix(action, dim, k, t)
         return cls(dim, shift, blocks)
+
+
+def nonzero_columns(
+    block: QMatrix, dim: int, k: int, target_degree: int
+) -> list[tuple[MultiIndex, Form]]:
+    """The columns of a degree-k block that are not zero, in lex order.
+
+    Each comes as (source monomial, image form); a block equation holds
+    exactly when its residual block gives an empty list.
+    """
+    nonzero = {j for row in block.rows for j, x in enumerate(row) if x}
+    source = monomial_basis(dim, k)
+    return [
+        (source[j], Form.from_vector(dim, target_degree, block.column(j)))
+        for j in sorted(nonzero)
+    ]
 
 
 def _render_monomial(key: MultiIndex, dim: int, prefix: str) -> str:

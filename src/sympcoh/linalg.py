@@ -157,20 +157,28 @@ class QMatrix:
     def __add__(self, other: QMatrix) -> QMatrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
+        # Operator blocks are sparse: a zero summand leaves the other cell as is.
         return QMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+            [[(a + b if a else b) if b else a for a, b in zip(ra, rb)]
+             for ra, rb in zip(self.rows, other.rows)],
             self.ncols,
         )
 
     def __sub__(self, other: QMatrix) -> QMatrix:
-        return self + (-other)
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} - {other.shape}")
+        return QMatrix(
+            [[(a - b if a else -b) if b else a for a, b in zip(ra, rb)]
+             for ra, rb in zip(self.rows, other.rows)],
+            self.ncols,
+        )
 
     def __neg__(self) -> QMatrix:
-        return QMatrix([[-x for x in row] for row in self.rows], self.ncols)
+        return QMatrix([[-x if x else x for x in row] for row in self.rows], self.ncols)
 
     def scaled(self, factor) -> QMatrix:
         f = _exact(factor)
-        return QMatrix([[f * x for x in row] for row in self.rows], self.ncols)
+        return QMatrix([[f * x if x else x for x in row] for row in self.rows], self.ncols)
 
     # -- comparison ----------------------------------------------------
 

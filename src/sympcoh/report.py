@@ -48,7 +48,10 @@ def _algebra_from_model(model: ModelFile) -> LieAlgebra:
 
 def structure_from_model(model: ModelFile) -> SymplecticStructure:
     """Build the validated symplectic structure a model describes."""
-    g = _algebra_from_model(model)
+    return _structure_on(_algebra_from_model(model), model)
+
+
+def _structure_on(g: LieAlgebra, model: ModelFile) -> SymplecticStructure:
     if model.omega is None:
         raise InputError(f"model {model.name!r} has no omega")
     omega = parse_form(model.omega, g.dim, degree=2)
@@ -226,7 +229,7 @@ def run_compute(model: ModelFile) -> Report:
         }
         return Report(data)
 
-    s = structure_from_model(model)
+    s = _structure_on(g, model)
     coh = SymplecticCohomology(s)
     n = s.n
 

@@ -5,13 +5,21 @@ symplectic star operator, the adjoint differential d^Lambda, primitive
 subspaces, and the explicit Lefschetz decomposition with its closed-form
 coefficients.
 
+Every operator has one exact representation: a `GradedOperator` of
+blocks.  L and Lambda are materialized once from their defining actions
+on monomials (wedge with omega, minus contraction with the Poisson
+bivector); H is (n - k) I, d^Lambda is the block commutator
+d_{k-2} Lambda_k - Lambda_{k+1} d_k, and every Form-level operator other
+than L and Lambda applies those blocks.  Each identity is checked as a
+block equation, one per degree.
+
 Sign conventions are pinned operationally: construction asserts
-Lambda(omega) = n and [Lambda, L] = H in every degree, so a flipped
-contraction or Poisson-bivector sign fails loudly instead of corrupting
-results.  The star operator and its identities (star o star = id,
-Lambda = star L star, the star route to d^Lambda) are materialized and
-checked on first use; they are not needed by the purely cohomological
-decision procedures, which keeps bulk randomized runs fast.
+Lambda(omega) = n and Lambda_{k+2} L_k - L_{k-2} Lambda_k = H_k in every
+degree, so a flipped contraction or Poisson-bivector sign fails loudly
+instead of corrupting results.  The star operator and its identities
+(star star = id, Lambda = star L star, the star route to d^Lambda) are
+materialized and checked on first use, because the cohomological
+decision procedures do not need them.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from .exterior import (
     contract,
     merge_with_sign,
     monomial_basis,
+    nonzero_columns,
     top_coefficient,
 )
 from .lie import LieAlgebra
@@ -111,7 +120,8 @@ class SymplecticStructure:
 
     Eagerly materialized: L, Lambda, H, d^Lambda (as the commutator
     [d, Lambda]) and the pairing matrix data.  The star blocks live in a
-    cached property and carry their own identity checks.
+    cached property and carry their own identity checks; powers of L are
+    cached blocks as well.
     """
 
     def __init__(self, g: LieAlgebra, omega: Form):
@@ -152,9 +162,14 @@ class SymplecticStructure:
 
         self.L_op = GradedOperator.materialize(self.dim, +2, self.L)
         self.Lambda_op = GradedOperator.materialize(self.dim, -2, self.lam)
-        self.H_op = GradedOperator.materialize(self.dim, 0, self.h)
-        self.dLambda_op = GradedOperator.materialize(self.dim, -1, self.d_lambda)
+        degrees = range(self.dim + 1)
+        weights = {k: QMatrix.identity(comb(self.dim, k)).scaled(self.n - k) for k in degrees}
+        self.H_op = GradedOperator(self.dim, 0, weights)
+        d, lam = self.d_block, self.lambda_block
+        commutators = {k: d(k - 2) @ lam(k) - lam(k + 1) @ d(k) for k in degrees[1:]}
+        self.dLambda_op = GradedOperator(self.dim, -1, commutators)
         self._dd_lambda_blocks: dict[int, QMatrix] = {}
+        self._L_powers: dict[tuple[int, int], QMatrix] = {}
         self._primitive: dict[int, Subspace] = {}
 
         self._validate_sl2()
@@ -171,16 +186,14 @@ class SymplecticStructure:
 
     def h(self, form: Form) -> Form:
         """Weight operator: multiplication by (n - k) on degree k."""
-        if form.is_zero():
-            return Form.zero(self.dim, 0)
-        return form * (self.n - form.degree)
+        return self.H_op.apply(form)
 
     def d(self, form: Form) -> Form:
         return self.g.d(form)
 
     def d_lambda(self, form: Form) -> Form:
         """Normative route: d^Lambda = [d, Lambda] = d Lambda - Lambda d."""
-        return self.g.d(self.lam(form)) - self.lam(self.g.d(form))
+        return self.dLambda_op.apply(form)
 
     def d_lambda_star_route(self, form: Form) -> Form:
         """Cross-check route: (-1)^k star d star on degree k.
@@ -189,13 +202,11 @@ class SymplecticStructure:
         conventions (Lambda = -iota_Pi with Lambda(omega) = n); it is
         validated as an exact identity when the star blocks materialize.
         """
-        if form.is_zero():
-            return Form.zero(self.dim, 0)
-        result = self.star(self.g.d(self.star(form)))
+        result = self.star(self.d(self.star(form)))
         return -result if form.degree % 2 else result
 
     def dd_lambda(self, form: Form) -> Form:
-        return self.g.d(self.d_lambda(form))
+        return self.d(self.d_lambda(form))
 
     # -- block accessors ------------------------------------------------------
 
@@ -225,6 +236,17 @@ class SymplecticStructure:
     def star_block(self, k: int) -> QMatrix:
         return self.star_op.block(k)
 
+    def L_power_block(self, r: int, k: int) -> QMatrix:
+        """L^r from degree k to degree k + 2r, cached."""
+        block = self._L_powers.get((r, k))
+        if block is None:
+            if r == 0:
+                block = QMatrix.identity(comb(self.dim, k))
+            else:
+                block = self.L_block(k + 2 * r - 2) @ self.L_power_block(r - 1, k)
+            self._L_powers[(r, k)] = block
+        return block
+
     # -- construction-time validation ----------------------------------------
 
     def _validate_sl2(self) -> None:
@@ -235,15 +257,16 @@ class SymplecticStructure:
                 f"Lambda(omega) = {lam_omega}, expected {self.n}; "
                 "contraction sign convention is broken"
             )
+        L, lam = self.L_block, self.lambda_block
         for k in range(self.dim + 1):
-            weight = self.n - k
-            for key in monomial_basis(self.dim, k):
-                m = Form.monomial(self.dim, key)
-                commutator = self.lam(self.L(m)) - self.L(self.lam(m))
-                if commutator != m * weight:
-                    raise InternalInconsistencyError(
-                        f"[Lambda, L] != H on degree {k} at e{key}"
-                    )
+            commutator = lam(k + 2) @ L(k) - L(k - 2) @ lam(k)
+            self._require(commutator, self.h_block(k), k, k, "[Lambda, L] != H")
+
+    def _require(self, lhs: QMatrix, rhs: QMatrix, k: int, target: int, what: str) -> None:
+        """Raise at the first failing monomial unless lhs = rhs on degree k."""
+        if lhs != rhs:
+            key, _ = nonzero_columns(lhs - rhs, self.dim, k, target)[0]
+            raise InternalInconsistencyError(f"{what} on degree {k} at e{key}")
 
     # -- symplectic star ------------------------------------------------------
 
@@ -309,27 +332,20 @@ class SymplecticStructure:
         identities come out as Lambda = star L star and
         d^Lambda = (-1)^k star d star; no choice of per-degree signs for
         star can produce the opposite composite signs, so these are the
-        ones checked.
+        ones checked, as block equations on each degree k.
         """
-        for k in range(self.dim + 1):
-            for key in monomial_basis(self.dim, k):
-                m = Form.monomial(self.dim, key)
-                sm = op.apply(m)
-                if op.apply(sm) != m:
-                    raise InternalInconsistencyError(
-                        f"star(star(e{key})) != e{key} on degree {k}"
-                    )
-                if op.apply(self.L(sm)) != self.lam(m):
-                    raise InternalInconsistencyError(
-                        f"Lambda != star L star at e{key} on degree {k}"
-                    )
-                star_route = op.apply(self.g.d(sm))
-                if k % 2:
-                    star_route = -star_route
-                if star_route != self.d_lambda(m):
-                    raise InternalInconsistencyError(
-                        f"star route to d^Lambda disagrees at e{key} on degree {k}"
-                    )
+        star, m = op.block, self.dim
+        for k in range(m + 1):
+            involution = star(m - k) @ star(k)
+            self._require(involution, QMatrix.identity(comb(m, k)), k, k, "star star != id")
+            conjugate = star(m - k + 2) @ self.L_block(m - k) @ star(k)
+            self._require(conjugate, self.lambda_block(k), k, k - 2, "Lambda != star L star")
+            route = star(m - k + 1) @ self.d_block(m - k) @ star(k)
+            if k % 2:
+                route = -route
+            self._require(
+                route, self.d_lambda_block(k), k, k - 1, "star route to d^Lambda disagrees"
+            )
 
     # -- primitive forms ------------------------------------------------------
 
@@ -346,31 +362,7 @@ class SymplecticStructure:
                 )
         else:
             power = self.n - k + 1
-            for vec in space.basis.rows:
-                form = Form.from_vector(self.dim, k, vec)
-                for _ in range(power):
-                    form = self.L(form)
-                if not form.is_zero():
-                    raise InternalInconsistencyError(
-                        f"ker Lambda not inside ker L^{power} on degree {k}"
-                    )
-            images = []
-            target = k + 2 * power
-            for key in monomial_basis(self.dim, k):
-                form = Form.monomial(self.dim, key)
-                for _ in range(power):
-                    form = self.L(form)
-                images.append(
-                    form.coeff_vector()
-                    if not form.is_zero() and form.degree == target
-                    else (Fraction(0),) * comb(self.dim, target)
-                )
-            rank = (
-                Subspace.from_vectors(comb(self.dim, target), images).dim
-                if 0 <= target <= self.dim
-                else 0
-            )
-            if comb(self.dim, k) - rank != space.dim:
+            if kernel(self.L_power_block(power, k)) != space:
                 raise InternalInconsistencyError(
                     f"ker Lambda != ker L^{power} on degree {k}"
                 )
@@ -440,12 +432,9 @@ class SymplecticStructure:
         tags: list[tuple[int, tuple[Fraction, ...]]] = []
         for r in _r_range(k, n):
             prim = self.primitive_subspace(k - 2 * r)
-            for vec in prim.basis.rows:
-                lifted = Form.from_vector(self.dim, k - 2 * r, vec)
-                for _ in range(r):
-                    lifted = self.L(lifted)
-                columns.append(lifted.coeff_vector())
-                tags.append((r, vec))
+            lifted = self.L_power_block(r, k - 2 * r) @ prim.basis.transpose()
+            columns.extend(lifted.columns())
+            tags.extend((r, vec) for vec in prim.basis.rows)
         matrix = QMatrix.from_columns(columns, nrows=comb(self.dim, k))
         solution = solve(matrix, form.coeff_vector())
         if solution is None:

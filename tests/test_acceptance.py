@@ -188,7 +188,7 @@ def test_criterion_6_operator_identity_suite(corpus_engines):
     rng = random.Random(1)
     check = _Recorder()
     for name, engine in corpus_engines.items():
-        operator_identity_suite(engine.s, check, rng, include_star=True, label=name)
+        operator_identity_suite(engine.s, check, rng, label=name)
     failures = {name: r for name, r in check.results.items() if not r.ok}
     assert not failures, failures
     expected_checks = {

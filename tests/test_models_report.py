@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +191,26 @@ class TestReports:
         report = run_compute(model)
         assert CAVEAT_LATTICE_UNIMODULAR in report.data["caveats"]
         assert CAVEAT_LOWER_BOUND in report.data["caveats"]
+
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_corpus_report_json_bytes_unchanged(name):
+    want = json.loads(EXPECTED.read_text())["reports"][name]["sha256"]
+    text = run_compute(corpus_model(name)).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def test_run_compute_builds_the_algebra_once(monkeypatch):
+    import sympcoh.report
+
+    built = []
+    original = sympcoh.report.build_lie_algebra
+    monkeypatch.setattr(
+        sympcoh.report, "build_lie_algebra", lambda s: built.append(s) or original(s)
+    )
+    run_compute(corpus_model("example1"))
+    assert len(built) == 1
+

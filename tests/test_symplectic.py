@@ -17,6 +17,7 @@ from sympcoh import (
     parse_structure_equations,
     validate_symplectic,
 )
+from sympcoh.exterior import monomial_basis
 from sympcoh.verify import random_form
 
 
@@ -79,6 +80,22 @@ class TestTriple:
             lam_here = ex1.Lambda_op.block(k)
             commutator = lam_next @ l_here - l_prev @ lam_here
             assert commutator == ex1.h_block(k)
+
+    def test_L_power_block_is_repeated_L(self, ex1):
+        for k in range(7):
+            for r in range((6 - k) // 2 + 1):
+                block = ex1.L_power_block(r, k)
+                for j, key in enumerate(monomial_basis(6, k)):
+                    form = Form.monomial(6, key)
+                    for _ in range(r):
+                        form = ex1.L(form)
+                    assert block.column(j) == form.coeff_vector()
+
+    def test_dlambda_block_is_the_commutator_action(self, ex1):
+        for k in range(7):
+            for key in monomial_basis(6, k):
+                m = Form.monomial(6, key)
+                assert ex1.d_lambda(m) == ex1.g.d(ex1.lam(m)) - ex1.lam(ex1.g.d(m))
 
 
 class TestStar:

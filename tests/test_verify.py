@@ -1,0 +1,147 @@
+"""The block-equation verify suites: pinned counts, dim 8, and mutants."""
+
+import random
+import re
+
+import pytest
+
+from sympcoh import (
+    InternalInconsistencyError,
+    build_lie_algebra,
+    corpus_model,
+    parse_form,
+    parse_structure_equations,
+    run_verify,
+    structure_from_model,
+    validate_symplectic,
+)
+from sympcoh.exterior import GradedOperator
+from sympcoh.linalg import QMatrix
+from sympcoh.verify import _Recorder, operator_identity_suite
+
+TABLE = (
+    "commute_d_L",
+    "commute_dl_L_is_d",
+    "commute_ddl_L",
+    "commute_d_Lambda_is_dl",
+    "commute_dl_Lambda",
+    "commute_ddl_Lambda",
+    "commute_d_H_is_d",
+    "commute_dl_H_is_minus_dl",
+    "commute_ddl_H",
+    "sl2_lambda_L",
+    "sl2_H_L",
+    "sl2_H_Lambda",
+    "d_squared",
+    "d_lambda_squared",
+    "anticommute_d_dl",
+)
+
+# (passed, failed) per check, recorded with the per-monomial Form suites
+# that the block equations replaced.
+SEED0_DIM6_COUNTS = {
+    "L_injective_below_middle": (3, 0),
+    "L_power_form_isomorphism": (4, 0),
+    "anticommute_d_dl": (64, 0),
+    "commute_d_H_is_d": (64, 0),
+    "commute_d_L": (64, 0),
+    "commute_d_Lambda_is_dl": (64, 0),
+    "commute_ddl_H": (64, 0),
+    "commute_ddl_L": (64, 0),
+    "commute_ddl_Lambda": (64, 0),
+    "commute_dl_H_is_minus_dl": (64, 0),
+    "commute_dl_L_is_d": (64, 0),
+    "commute_dl_Lambda": (64, 0),
+    "cup_pairing_nondegenerate": (7, 0),
+    "d_lambda_squared": (64, 0),
+    "d_squared": (64, 0),
+    "equiv_d_plus_dlambda_lefschetz": (1, 0),
+    "equiv_ddlambda_dual_d_plus_dlambda": (1, 0),
+    "equiv_dlambda_dual_de_rham": (1, 0),
+    "equiv_hlc_iff_dd_lemma": (1, 0),
+    "hlc_implies_full_direct": (7, 0),
+    "hlc_implies_primitive_dims": (7, 0),
+    "image_contains_products": (12, 0),
+    "lefschetz_direct_sum_dims": (7, 0),
+    "lefschetz_reassembly": (7, 0),
+    "primitive_ph_formulas_agree": (4, 0),
+    "prop_full_implies_dual_direct": (1, 0),
+    "rank_nullity": (12, 0),
+    "rref_idempotent": (12, 0),
+    "sl2_H_L": (64, 0),
+    "sl2_H_Lambda": (64, 0),
+    "sl2_lambda_L": (64, 0),
+    "star_identities": (1, 0),
+    "subspace_modular_law": (12, 0),
+    "theorem_h2_full_direct": (1, 0),
+    "theorem_hk0_meets_h02k": (1, 0),
+    "theorem_hr0_spanned_by_omega_r": (1, 0),
+    "theorem_lr_equals_hr": (1, 0),
+    "wedge_associative": (10, 0),
+    "wedge_graded_commutative": (10, 0),
+}
+
+
+def _suite(s, label="mutant"):
+    check = _Recorder()
+    operator_identity_suite(s, check, random.Random(0), label=label)
+    return check.results
+
+
+def test_seed0_dim6_counts_pinned():
+    summary = run_verify(seed=0, dims=(6,), count_per_dim=1, include_corpus=False)
+    counts = {name: (r.passed, r.failed) for name, r in summary.results.items()}
+    assert counts == SEED0_DIM6_COUNTS
+
+
+def test_dim8_suite_records_every_identity_and_the_star():
+    g = build_lie_algebra(parse_structure_equations("0,0,0,12,14-23,15+34,0,0"))
+    s = validate_symplectic(g, parse_form("16+35+24+78", 8, degree=2))
+    results = _suite(s, label="nil8")
+    for name in TABLE:
+        assert (results[name].passed, results[name].failed) == (256, 0), name
+    assert (results["star_identities"].passed, results["star_identities"].failed) == (1, 0)
+    assert all(result.ok for result in results.values())
+
+
+def _with_dlambda_block(s, k, block):
+    blocks = dict(s.dLambda_op.blocks)
+    blocks[k] = block
+    s.dLambda_op = GradedOperator(s.dim, -1, blocks)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_sign_flipped_dlambda_block_fails_commutation(k):
+    s = structure_from_model(corpus_model("example1"))
+    block = s.d_lambda_block(k)
+    flipped_columns = sum(1 for column in block.columns() if any(column))
+    assert flipped_columns
+    _with_dlambda_block(s, k, -block)
+    result = _suite(s)["commute_d_Lambda_is_dl"]
+    assert result.failed == flipped_columns
+    assert result.passed == 64 - flipped_columns
+    assert all(re.match(rf"mutant degree {k} at e\d{{{k}}}: \S", ctx) for ctx in result.failures)
+
+
+@pytest.mark.parametrize("k", [1, 6])
+def test_perturbed_edge_dlambda_block_fails_commutation(k):
+    """The edge blocks of d^Lambda vanish; a nonzero cell there is caught."""
+    s = structure_from_model(corpus_model("example1"))
+    block = s.d_lambda_block(k)
+    assert block.is_zero()
+    rows = [list(row) for row in block.rows]
+    rows[0][0] = 1
+    _with_dlambda_block(s, k, QMatrix(rows, block.ncols))
+    result = _suite(s)["commute_d_Lambda_is_dl"]
+    assert result.failed == 1
+    assert re.match(rf"mutant degree {k} at e1{'23456'[: k - 1]}: ", result.failures[0])
+
+
+@pytest.mark.parametrize("k", range(7))
+@pytest.mark.parametrize("factor", [-1, 2])
+def test_corrupted_star_block_raises(k, factor):
+    s = structure_from_model(corpus_model("example1"))
+    gram = s.pairing_matrix
+    s.pairing_matrix = lambda j: gram(j).scaled(factor) if j == k else gram(j)
+    with pytest.raises(InternalInconsistencyError, match=r"on degree \d at e\("):
+        s.star_op
