@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .errors import InternalInconsistencyError, NotUnimodular
+from .errors import AmbientMismatch, InternalInconsistencyError, NotUnimodular
 from .exterior import Form, top_coefficient
 from .lie import AlgebraProperties, LieAlgebra, check_properties
 from .linalg import (
@@ -64,8 +64,8 @@ class CohomologySpace:
         self.denominator = denominator
         self.quotient: QuotientSpace = quotient_structure(denominator, numerator)
         self.representatives: tuple[Form, ...] = tuple(
-            Form.from_vector(dim_forms, degree, vec)
-            for vec in self.quotient.representatives
+            Form.from_sparse(dim_forms, degree, row)
+            for row in self.quotient.complement.basis.sparse_rows
         )
 
     @property
@@ -74,8 +74,14 @@ class CohomologySpace:
 
     def class_of(self, form: Form | Sequence) -> Vector:
         """Coordinates of a cocycle's class w.r.t. the representatives."""
-        vec = form.coeff_vector() if isinstance(form, Form) else form
-        return self.quotient.coordinates(vec)
+        if not isinstance(form, Form):
+            return self.quotient.coordinates(form)
+        if (form.dim, form.degree) != (self.ambient_dim, self.degree):
+            raise AmbientMismatch(
+                f"degree-{form.degree} form over dim {form.dim} in the degree-"
+                f"{self.degree} cohomology over dim {self.ambient_dim}"
+            )
+        return self.quotient.sparse_coordinates(form.sparse_vector())
 
     def representative_of(self, coords: Sequence) -> Form:
         total = Form.zero(self.ambient_dim, self.degree)
@@ -172,12 +178,10 @@ class SymplecticCohomology:
 
     @cached_property
     def d_plus_dlambda(self) -> tuple[CohomologySpace, ...]:
-        """(ker d meet ker d^Lambda) / im(d d^Lambda), degree by degree."""
+        """ker [d; d^Lambda] / im(d d^Lambda), degree by degree."""
         spaces = []
         for k in range(self.s.dim + 1):
-            numerator = subspace_intersect(
-                kernel(self.s.d_block(k)), kernel(self.s.d_lambda_block(k))
-            )
+            numerator = kernel(QMatrix.stacked([self.s.d_block(k), self.s.d_lambda_block(k)]))
             denominator = image(self.s.dd_lambda_block(k))
             spaces.append(CohomologySpace(self.s.dim, k, numerator, denominator))
         return tuple(spaces)
@@ -204,25 +208,24 @@ class SymplecticCohomology:
         """Primitive (d + d^Lambda)-cohomology in degree sdeg.
 
         Computed both as
-          (ker d meet ker d^Lambda meet P) / (im d d^Lambda meet P)   and
-          (ker d meet P) / d d^Lambda(P);
-        the two dimensions are asserted equal.
+          ker [d; d^Lambda; Lambda] / (im d d^Lambda meet P)   and
+          ker [d; Lambda] / d d^Lambda(P),
+        where P = ker Lambda is the primitive subspace; the two dimensions
+        are asserted equal.
         """
         cached = self._ph_plus.get(sdeg)
         if cached is not None:
             return cached
         s = self.s
         prim = s.primitive_subspace(sdeg)
-        closed = kernel(s.d_block(sdeg))
-        lam_closed = kernel(s.d_lambda_block(sdeg))
-        num_a = subspace_intersect(subspace_intersect(closed, lam_closed), prim)
-        den_a = subspace_intersect(image(s.dd_lambda_block(sdeg)), prim)
+        d, lam, ddl = s.d_block(sdeg), s.lambda_block(sdeg), s.dd_lambda_block(sdeg)
+        num_a = kernel(QMatrix.stacked([d, s.d_lambda_block(sdeg), lam]))
+        den_a = subspace_intersect(image(ddl), prim)
         space = CohomologySpace(s.dim, sdeg, num_a, den_a)
 
-        num_b = subspace_intersect(closed, prim)
-        ddl = s.dd_lambda_block(sdeg)
-        den_b = Subspace.from_vectors(
-            ddl.nrows, [ddl.apply(vec) for vec in prim.basis.rows]
+        num_b = kernel(QMatrix.stacked([d, lam]))
+        den_b = Subspace.from_sparse(
+            ddl.nrows, [ddl.apply_sparse(row) for row in prim.basis.sparse_rows]
         )
         dim_b = num_b.dim - den_b.dim
         if space.dim != dim_b:
@@ -235,20 +238,26 @@ class SymplecticCohomology:
         return result
 
     def primitive_ph_d(self, sdeg: int) -> int:
-        """dim of the primitive d-cohomology in degree sdeg."""
+        """dim of the primitive d-cohomology in degree sdeg.
+
+        ker [d; d^Lambda; Lambda] / d(ker [Lambda; d^Lambda] one degree down).
+        """
         s = self.s
-        prim = s.primitive_subspace(sdeg)
-        closed = kernel(s.d_block(sdeg))
-        lam_closed = kernel(s.d_lambda_block(sdeg))
-        numerator = subspace_intersect(subspace_intersect(closed, lam_closed), prim)
+        # The primitive subspaces are not needed here, but building them
+        # runs the ker Lambda = ker L^{n-k+1} cross-check on both degrees.
+        s.primitive_subspace(sdeg)
+        numerator = kernel(
+            QMatrix.stacked([s.d_block(sdeg), s.d_lambda_block(sdeg), s.lambda_block(sdeg)])
+        )
         if sdeg == 0:
             return numerator.dim
-        source = subspace_intersect(
-            s.primitive_subspace(sdeg - 1), kernel(s.d_lambda_block(sdeg - 1))
+        s.primitive_subspace(sdeg - 1)
+        source = kernel(
+            QMatrix.stacked([s.lambda_block(sdeg - 1), s.d_lambda_block(sdeg - 1)])
         )
         dblock = s.d_block(sdeg - 1)
-        denominator = Subspace.from_vectors(
-            dblock.nrows, [dblock.apply(vec) for vec in source.basis.rows]
+        denominator = Subspace.from_sparse(
+            dblock.nrows, [dblock.apply_sparse(row) for row in source.basis.sparse_rows]
         )
         if not numerator.contains_subspace(denominator):
             raise InternalInconsistencyError(
@@ -269,10 +278,11 @@ class SymplecticCohomology:
             return group
         space = self.de_rham[degree]
         prim = self.s.primitive_subspace(s)
-        lifted = self.s.L_power_block(r, s) @ prim.basis.transpose()
-        shifted = Subspace.from_vectors(space.numerator.ambient_dim, lifted.columns())
+        shifted = image(self.s.L_power_block(r, s) @ prim.basis.transpose())
         closed_part = subspace_intersect(shifted, space.numerator)
-        class_vectors = [space.class_of(vec) for vec in closed_part.basis.rows]
+        class_vectors = [
+            space.quotient.sparse_coordinates(row) for row in closed_part.basis.sparse_rows
+        ]
         classes = Subspace.from_vectors(space.dim, class_vectors)
         representatives = tuple(
             space.representative_of(coords) for coords in classes.basis.rows
@@ -492,5 +502,8 @@ def _induced_l_power(
 ) -> QMatrix:
     """Matrix of L^power from *source* to *target* in class coordinates."""
     lift = s.L_power_block(power, source.degree)
-    images = lift @ QMatrix.from_columns(source.quotient.representatives, nrows=lift.ncols)
-    return QMatrix.from_columns([target.class_of(v) for v in images.columns()], nrows=target.dim)
+    images = lift @ source.quotient.complement.basis.transpose()
+    return QMatrix.from_columns(
+        [target.quotient.sparse_coordinates(col) for col in images.transpose().sparse_rows],
+        nrows=target.dim,
+    )

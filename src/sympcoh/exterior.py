@@ -31,7 +31,7 @@ from math import comb
 from typing import Callable, Mapping, Sequence
 
 from .errors import DimMismatch, MixedDegree
-from .linalg import QMatrix, Vector, _exact
+from .linalg import QMatrix, SparseRow, Vector, _exact
 
 __all__ = [
     "MultiIndex",
@@ -167,6 +167,12 @@ class Form:
             raise ValueError(f"vector length {len(vec)} != {len(basis)}")
         return cls(dim, degree, dict(zip(basis, vec)))
 
+    @classmethod
+    def from_sparse(cls, dim: int, degree: int, vec: Mapping[int, object]) -> Form:
+        """The form whose lex-basis coordinates are {position: coefficient}."""
+        basis = monomial_basis(dim, degree)
+        return cls(dim, degree, {basis[i]: c for i, c in vec.items()})
+
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -247,6 +253,11 @@ class Form:
         return tuple(
             self.coeffs.get(key, _ZERO) for key in monomial_basis(self.dim, self.degree)
         )
+
+    def sparse_vector(self) -> SparseRow:
+        """Nonzero lex-basis coordinates as {position: coefficient}."""
+        positions = _positions(self.dim, self.degree)
+        return {positions[key]: c for key, c in self.coeffs.items()}
 
     def terms(self) -> list[tuple[MultiIndex, Fraction]]:
         return sorted(self.coeffs.items())
@@ -341,20 +352,20 @@ def operator_matrix(
     matrix satisfies  matrix @ coeff_vector(v) = coeff_vector(action(v))
     for every degree-k form v.
     """
-    source = monomial_basis(dim, k)
     target_len = comb(dim, target_degree) if 0 <= target_degree <= dim else 0
-    columns = []
-    for key in source:
+    source = monomial_basis(dim, k)
+    rows: list[SparseRow] = [{} for _ in range(target_len)]
+    for j, key in enumerate(source):
         img = action(Form.monomial(dim, key))
         if img.is_zero():
-            columns.append((_ZERO,) * target_len)
-        else:
-            if img.degree != target_degree:
-                raise ValueError(
-                    f"action returned degree {img.degree}, expected {target_degree}"
-                )
-            columns.append(img.coeff_vector())
-    return QMatrix.from_columns(columns, nrows=target_len)
+            continue
+        if img.degree != target_degree:
+            raise ValueError(
+                f"action returned degree {img.degree}, expected {target_degree}"
+            )
+        for i, c in img.sparse_vector().items():
+            rows[i][j] = c
+    return QMatrix.from_sparse(rows, len(source))
 
 
 @dataclass(frozen=True)
@@ -389,8 +400,7 @@ class GradedOperator:
         t = self.target_degree(k)
         if form.is_zero() or not 0 <= t <= self.dim:
             return Form.zero(self.dim, 0)
-        vec = self.block(k).apply(form.coeff_vector())
-        return Form.from_vector(self.dim, t, vec)
+        return Form.from_sparse(self.dim, t, self.block(k).apply_sparse(form.sparse_vector()))
 
     @classmethod
     def materialize(
@@ -413,11 +423,12 @@ def nonzero_columns(
     Each comes as (source monomial, image form); a block equation holds
     exactly when its residual block gives an empty list.
     """
-    nonzero = {j for row in block.rows for j, x in enumerate(row) if x}
     source = monomial_basis(dim, k)
+    columns = block.transpose().sparse_rows
     return [
-        (source[j], Form.from_vector(dim, target_degree, block.column(j)))
-        for j in sorted(nonzero)
+        (source[j], Form.from_sparse(dim, target_degree, col))
+        for j, col in enumerate(columns)
+        if col
     ]
 
 

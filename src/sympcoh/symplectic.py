@@ -47,7 +47,7 @@ from .exterior import (
     top_coefficient,
 )
 from .lie import LieAlgebra
-from .linalg import QMatrix, Subspace, inverse, kernel, solve, _det_rows
+from .linalg import QMatrix, SparseRow, Subspace, inverse, kernel, solve, _det_rows
 
 __all__ = [
     "SymplecticStructure",
@@ -279,13 +279,9 @@ class SymplecticStructure:
         rows = self.pairing.rows
         out = []
         for a in basis:
-            out.append(
-                [
-                    _det_rows([[rows[i - 1][j - 1] for j in b] for i in a])
-                    for b in basis
-                ]
-            )
-        return QMatrix(out, len(basis))
+            dets = (_det_rows([[rows[i - 1][j - 1] for j in b] for i in a]) for b in basis)
+            out.append({j: x for j, x in enumerate(dets) if x})
+        return QMatrix.from_sparse(out, len(basis))
 
     @cached_property
     def star_op(self) -> GradedOperator:
@@ -307,17 +303,13 @@ class SymplecticStructure:
             cobasis = monomial_basis(self.dim, self.dim - k)
             positions = {key: i for i, key in enumerate(cobasis)}
             gram = self.pairing_matrix(k)
-            rows = [[Fraction(0)] * len(basis) for _ in range(len(cobasis))]
-            for a_idx, a in enumerate(basis):
+            rows: list[SparseRow] = [{} for _ in cobasis]
+            for a, gram_row in zip(basis, gram.sparse_rows):
                 complement = tuple(i for i in everything if i not in a)
                 sign, _ = merge_with_sign(a, complement)
-                row = rows[positions[complement]]
-                gram_row = gram.rows[a_idx]
-                for b_idx in range(len(basis)):
-                    value = gram_row[b_idx]
-                    if value:
-                        row[b_idx] = sign * c * value
-            blocks[k] = QMatrix(rows, len(basis))
+                factor = sign * c
+                rows[positions[complement]] = {b: factor * x for b, x in gram_row.items()}
+            blocks[k] = QMatrix.from_sparse(rows, len(basis))
         op = GradedOperator(self.dim, None, blocks)
         self._validate_star(op)
         return op
@@ -428,14 +420,14 @@ class SymplecticStructure:
         n = self.n
         if form.is_zero():
             return LefschetzComponents(k, n, {r: Form.zero(self.dim, 0) for r in _r_range(k, n)})
-        columns = []
-        tags: list[tuple[int, tuple[Fraction, ...]]] = []
+        columns: list[SparseRow] = []  # L^r of each primitive basis vector
+        tags: list[tuple[int, SparseRow]] = []
         for r in _r_range(k, n):
             prim = self.primitive_subspace(k - 2 * r)
-            lifted = self.L_power_block(r, k - 2 * r) @ prim.basis.transpose()
-            columns.extend(lifted.columns())
-            tags.extend((r, vec) for vec in prim.basis.rows)
-        matrix = QMatrix.from_columns(columns, nrows=comb(self.dim, k))
+            lifted = prim.basis @ self.L_power_block(r, k - 2 * r).transpose()
+            columns.extend(lifted.sparse_rows)
+            tags.extend((r, vec) for vec in prim.basis.sparse_rows)
+        matrix = QMatrix.from_sparse(columns, comb(self.dim, k)).transpose()
         solution = solve(matrix, form.coeff_vector())
         if solution is None:
             raise InternalInconsistencyError(
@@ -446,7 +438,7 @@ class SymplecticStructure:
             acc = Form.zero(self.dim, k - 2 * r)
             for x, (tag_r, vec) in zip(solution, tags):
                 if tag_r == r and x:
-                    acc = acc + Form.from_vector(self.dim, k - 2 * r, vec) * x
+                    acc = acc + Form.from_sparse(self.dim, k - 2 * r, vec) * x
             components[r] = acc * factorial(r)
         return LefschetzComponents(k, n, components)
 

@@ -6,18 +6,25 @@ import pytest
 
 from sympcoh import (
     Form,
+    InternalInconsistencyError,
     NotUnimodular,
+    QMatrix,
     SymplecticCohomology,
     Subspace,
     build_lie_algebra,
+    corpus_model,
     de_rham_cohomology,
+    kernel,
     parse_form,
     parse_structure_equations,
     render_form,
     rref,
+    run_compute,
+    subspace_intersect,
     validate_symplectic,
 )
-from sympcoh.verify import random_form
+from sympcoh.exterior import GradedOperator
+from sympcoh.verify import random_form, random_symplectic_structure
 
 
 def span_of_classes(engine, degree, texts):
@@ -125,6 +132,45 @@ class TestPrimitiveCohomologies:
     def test_example1_ph_d_computes(self, example1):
         for sdeg in range(4):
             assert example1.primitive_ph_d(sdeg) >= 0
+
+
+class TestStackedKernels:
+    """ker A meet ker B = ker [A; B]: the stacked form the engine uses."""
+
+    @staticmethod
+    def assert_stacked_equals_nested(s):
+        for k in range(s.dim + 1):
+            d, dl, lam = s.d_block(k), s.d_lambda_block(k), s.lambda_block(k)
+            for blocks in ([d, dl], [d, dl, lam], [d, lam], [lam, dl]):
+                nested = kernel(blocks[0])
+                for block in blocks[1:]:
+                    nested = subspace_intersect(nested, kernel(block))
+                assert kernel(QMatrix.stacked(blocks)) == nested
+
+    def test_corpus(self, corpus_engines):
+        for engine in corpus_engines.values():
+            self.assert_stacked_equals_nested(engine.s)
+
+    def test_random_dim6_structure(self):
+        self.assert_stacked_equals_nested(random_symplectic_structure(6, random.Random(0)))
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_corrupted_L_block_fails_the_primitive_cross_check(self, monkeypatch, degree):
+        """A report still runs ker Lambda_k = ker L^{n-k+1} on every primitive degree."""
+        import sympcoh.report
+
+        original = sympcoh.report._structure_on
+
+        def corrupted(g, model):
+            s = original(g, model)
+            block = s.L_op.block(degree)
+            blocks = {**s.L_op.blocks, degree: QMatrix.zeros(block.nrows, block.ncols)}
+            s.L_op = GradedOperator(s.dim, 2, blocks)
+            return s
+
+        monkeypatch.setattr(sympcoh.report, "_structure_on", corrupted)
+        with pytest.raises(InternalInconsistencyError, match="ker Lambda != ker L"):
+            run_compute(corpus_model("example1"))
 
 
 class TestHrsGroups:

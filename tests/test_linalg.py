@@ -246,3 +246,53 @@ class TestCanonicalEntries:
         x = F("6/4")
         assert QMatrix([[x]]).rows[0][0] is x
         assert as_vector([x])[0] is x
+
+
+class TestSparseRows:
+    def test_wrong_length_vector_is_an_ambient_mismatch(self):
+        with pytest.raises(AmbientMismatch):
+            Subspace.from_vectors(3, [[1, 2]])
+        with pytest.raises(AmbientMismatch):
+            Subspace.from_vectors(2, [[1, 2], [1, 2, 3]])
+
+    def test_rows_store_only_nonzero_entries(self):
+        m = QMatrix([[0, 2, 0], [0, 0, 0]])
+        assert m.sparse_rows == ({1: F(2)}, {})
+        assert m.rows == ((F(0), F(2), F(0)), (F(0), F(0), F(0)))
+
+    def test_cancellations_store_no_zeros(self):
+        m = QMatrix([[1, -1], [2, 3]])
+        zero = QMatrix.zeros(2, 2)
+        assert (m - m).sparse_rows == ({}, {})
+        assert (m + (-m)).sparse_rows == ({}, {})
+        assert m.scaled(0).sparse_rows == ({}, {})
+        assert m - m == zero and m.scaled(0) == zero
+        product = QMatrix([[1, 1]]) @ QMatrix([[1], [-1]])
+        assert product.sparse_rows == ({},)
+        assert product == QMatrix.zeros(1, 1)
+
+    def test_equal_matrices_hash_alike(self):
+        dense = QMatrix([[0, 1, 2]])
+        built = QMatrix.from_sparse([{2: F(2), 1: F(1)}], 3)
+        assert dense == built
+        assert hash(dense) == hash(built)
+
+    def test_zero_rows_stay_at_the_bottom(self):
+        reduced, pivots, rank = rref(QMatrix([[0, 0], [0, 3], [0, 6]]))
+        assert reduced.shape == (3, 2)
+        assert reduced == QMatrix([[0, 1], [0, 0], [0, 0]])
+        assert (pivots, rank) == ((1,), 1)
+
+    def test_stacked_blocks(self):
+        a = QMatrix([[1, 0, 1]])
+        b = QMatrix([[0, 1, 1], [0, 0, 0]])
+        assert QMatrix.stacked([a, b]) == QMatrix([[1, 0, 1], [0, 1, 1], [0, 0, 0]])
+        with pytest.raises(ValueError, match="column count"):
+            QMatrix.stacked([a, QMatrix.identity(2)])
+
+    def test_apply_sparse_matches_apply(self):
+        m = QMatrix([[1, 0, F("1/2")], [0, 0, 0], [3, -1, 0]])
+        x = [F(2), F(0), F(-4)]
+        out = m.apply_sparse({0: F(2), 2: F(-4)})
+        assert out == {2: F(6)}  # row 0 cancels to zero and is not stored
+        assert tuple(out.get(i, F(0)) for i in range(3)) == m.apply(x)

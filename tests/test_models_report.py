@@ -193,7 +193,12 @@ class TestReports:
         assert CAVEAT_LOWER_BOUND in report.data["caveats"]
 
 
-EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+EXPECTED = PERFBENCH / "expected.json"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -201,6 +206,31 @@ def test_corpus_report_json_bytes_unchanged(name):
     want = json.loads(EXPECTED.read_text())["reports"][name]["sha256"]
     text = run_compute(corpus_model(name)).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("name", ["nil8", "derham10"])
+def test_larger_model_report_json_bytes_unchanged(name):
+    want = json.loads(EXPECTED.read_text())["reports"][name]["sha256"]
+    model = load_model(PERFBENCH / "models" / f"{name}.model")
+    assert _sha256(run_compute(model).to_json()) == want
+
+
+# Recorded from the dense-row elimination kernel, before sparse rows.
+NIL10_SHA256 = "455ade6adc4bef6f98e3484905791e6f86fbdc2c36ef9fbc8c87fafc530a243d"
+
+
+def test_nil10_acceptance():
+    """Dimension-10 nilpotent model: invariants and exact report bytes."""
+    text = run_compute(load_model(PERFBENCH / "models" / "nil10.model")).to_json()
+    data = json.loads(text)
+    assert data["betti"] == [1, 7, 22, 42, 57, 62, 57, 42, 22, 7, 1]
+    # Not a torus, so no HLC (Benson-Gordon), and the dd^Lambda-lemma
+    # agrees with HLC (Merkulov, Guillemin).
+    assert data["hlc"]["overall"] is False
+    assert data["dd_lambda_lemma"] is False
+    full = [entry["degree"] for entry in data["decompositions"] if entry["full"]]
+    assert full == [0, 1, 2, 8, 9, 10]
+    assert _sha256(text) == NIL10_SHA256
 
 
 def test_run_compute_builds_the_algebra_once(monkeypatch):

@@ -1,0 +1,123 @@
+"""The exact elimination kernel against an independent oracle (sympy).
+
+sympy's `Matrix.rref` shares no code with `linalg.rref`, so agreement on
+the operator blocks of real models, and on random sparse rational
+matrices, checks the RREF, the pivots and everything built on them.
+"""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sympcoh import (
+    QMatrix,
+    Subspace,
+    corpus,
+    inverse,
+    kernel,
+    load_model,
+    rref,
+    solve,
+    structure_from_model,
+)
+
+sympy = pytest.importorskip("sympy")
+
+NIL8 = Path(__file__).resolve().parents[1] / "perfbench" / "models" / "nil8.model"
+
+
+def to_sympy(m: QMatrix):
+    rows = m.rows
+    return sympy.Matrix(
+        m.nrows, m.ncols, lambda i, j: sympy.Rational(rows[i][j].numerator, rows[i][j].denominator)
+    )
+
+
+def from_sympy(m) -> QMatrix:
+    return QMatrix(
+        [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)], m.cols
+    )
+
+
+def assert_rref_matches(m: QMatrix) -> None:
+    reduced, pivots, rank = rref(m)
+    want, want_pivots = to_sympy(m).rref()
+    assert pivots == tuple(want_pivots)
+    assert rank == len(want_pivots)
+    assert reduced == from_sympy(want)
+
+
+MODELS = {model.name: model for model in corpus()} | {"nil8": load_model(NIL8)}
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_operator_blocks_match_sympy(name):
+    s = structure_from_model(MODELS[name])
+    for k in range(s.dim + 1):
+        for block in (s.d_block(k), s.lambda_block(k), s.d_lambda_block(k), s.dd_lambda_block(k)):
+            if block.nrows and block.ncols:
+                assert_rref_matches(block)
+
+
+entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def sparse_matrices(draw, square=False):
+    """Up to 12 x 12, with at most a third of the cells set (most are zero).
+
+    A square one also gets a drawn diagonal, so that many are invertible.
+    """
+    nrows = draw(st.integers(min_value=1, max_value=12))
+    ncols = nrows if square else draw(st.integers(min_value=1, max_value=12))
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(0, nrows * ncols - 1), entries), max_size=nrows * ncols // 3 + 1
+        )
+    )
+    values = [[Fraction(0)] * ncols for _ in range(nrows)]
+    if square:
+        for i, x in enumerate(draw(st.lists(entries, min_size=nrows, max_size=nrows))):
+            values[i][i] = x
+    for index, x in cells:
+        values[index // ncols][index % ncols] = x
+    return QMatrix(values, ncols)
+
+
+@settings(deadline=None, max_examples=40)
+@given(sparse_matrices())
+def test_rref_matches_sympy(m):
+    assert_rref_matches(m)
+
+
+@settings(deadline=None, max_examples=40)
+@given(sparse_matrices())
+def test_kernel_matches_sympy(m):
+    null = [[Fraction(int(x.p), int(x.q)) for x in v] for v in to_sympy(m).nullspace()]
+    assert kernel(m) == Subspace.from_vectors(m.ncols, null)
+
+
+@settings(deadline=None, max_examples=40)
+@given(sparse_matrices(), st.lists(entries, min_size=12, max_size=12))
+def test_solve_matches_sympy(m, rhs):
+    b = rhs[: m.nrows]
+    x = solve(m, b)
+    oracle = to_sympy(m)
+    column = sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in b])
+    consistent = oracle.row_join(column).rank() == oracle.rank()
+    assert (x is not None) == consistent
+    if x is not None:
+        assert m.apply(x) == tuple(b)
+
+
+@settings(deadline=None, max_examples=40)
+@given(sparse_matrices(square=True))
+def test_inverse_matches_sympy(m):
+    oracle = to_sympy(m)
+    if oracle.det() == 0:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(m)
+    else:
+        assert inverse(m) == from_sympy(oracle.inv())
