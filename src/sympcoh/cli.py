@@ -23,7 +23,7 @@ from .errors import (
 )
 from .models import corpus, corpus_model, corpus_names, load_model
 from .report import run_compute
-from .verify import run_verify
+from .verify import BASE_STRUCTURES, run_verify
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -87,8 +87,9 @@ def _cmd_verify(args) -> int:
     for dim in dims:
         if dim % 2 or dim <= 0:
             raise InputError(f"--dim must be a positive even number, got {dim}")
-        if dim not in (2, 4, 6, 8):
-            raise InputError(f"no random catalog for dimension {dim} (use 2, 4, 6 or 8)")
+        if dim not in BASE_STRUCTURES:
+            known = ", ".join(map(str, sorted(BASE_STRUCTURES)))
+            raise InputError(f"no random catalog for dimension {dim} (use one of {known})")
     summary = run_verify(seed=args.seed, dims=dims, count_per_dim=args.count)
     sys.stdout.write(summary.format_text() + "\n")
     return EXIT_OK if summary.ok else EXIT_INCONSISTENT

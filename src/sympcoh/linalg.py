@@ -1,22 +1,29 @@
 """Exact linear algebra over the rationals.
 
-Sparse matrices with `fractions.Fraction` entries, the canonical reduced
-row echelon form, kernels and images, and the subspace lattice (sum,
-intersection, quotients with orthogonal-complement representatives).
-Every "space of forms" and every "ker/im" quotient in the rest of the
-package reduces to the operations in this module.
+Sparse matrices over Q, the canonical reduced row echelon form, kernels
+and images, and the subspace lattice (sum, intersection, quotients with
+orthogonal-complement representatives).  Every "space of forms" and
+every "ker/im" quotient in the rest of the package reduces to the
+operations in this module.
 
-A `QMatrix` row is a dict {column: entry} holding only the nonzero
-entries; operator blocks are under 1% nonzero at dimension 10, so every
-product, sum and elimination visits stored entries only.  `rows` is a
-read-only dense view, built on first access.
+A `QMatrix` row holds only its nonzero entries (operator blocks are
+under 1% nonzero at dimension 10), in canonical integer form
+``(numerators, den)``: a dict {column: nonzero int} over one
+denominator, ``den > 0``, ``gcd(den, *numerators) == 1``, and ``({}, 1)``
+for the empty row.  Products, sums and eliminations do integer
+multiply-adds with one gcd per result row.  Fractions appear only at the
+boundary: `sparse_rows` ({column: Fraction}) and the dense `rows` are
+views built on first use; a matrix built from Fractions keeps them as
+its view and converts on first kernel use.  `apply_sparse`,
+`Subspace.reduce_sparse` and `QuotientSpace.sparse_coordinates` read the
+Fraction view.
 
 Subspaces are stored by their unique RREF basis, so subspace equality
 is literal equality of matrices.  All values are immutable after
 construction and all functions are pure; nothing here keeps shared
 mutable state.
 
-Canonical entries: every stored entry is a nonzero plain `Fraction`
+Canonical entries: every Fraction entry is a nonzero plain `Fraction`
 (``type(x) is Fraction``), which CPython keeps in lowest terms with a
 positive denominator.  Such a value is stored as is; anything else
 (int, bool, str, a Fraction subclass) is converted once with
@@ -29,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AmbientMismatch, NotInSubspace, NotSubspace
@@ -37,6 +45,7 @@ __all__ = [
     "Rational",
     "Vector",
     "SparseRow",
+    "IntRow",
     "QMatrix",
     "Subspace",
     "QuotientSpace",
@@ -55,6 +64,7 @@ __all__ = [
 Rational = Fraction
 Vector = tuple[Fraction, ...]
 SparseRow = dict[int, Fraction]  # column -> nonzero entry
+IntRow = tuple[dict[int, int], int]  # (column -> nonzero numerator, denominator)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -74,24 +84,49 @@ def _nonzero(vec: Vector) -> SparseRow:
     return {j: x for j, x in enumerate(vec) if x}
 
 
-def _add_multiple(target: SparseRow, f: Fraction, source: SparseRow) -> None:
-    """target += f * source, in place, storing no zeros."""
+def _canon(nums: dict[int, int], den: int) -> IntRow:
+    """The row nums / den in lowest terms; *nums* holds no zeros, den > 0."""
+    if not nums:
+        return {}, 1
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {c: x // g for c, x in nums.items()}, den // g
+
+
+def _int_row(row: SparseRow) -> IntRow:
+    """Integer form of a Fraction row: its entries over their lcm."""
+    den = lcm(*[x.denominator for x in row.values()])
+    return {c: x.numerator * (den // x.denominator) for c, x in row.items()}, den
+
+
+def _fraction_row(row: IntRow) -> SparseRow:
+    nums, den = row
+    if den == 1:
+        return {c: Fraction(x) for c, x in nums.items()}
+    return {c: Fraction(x, den) for c, x in nums.items()}
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """*row* divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {c: x // g for c, x in row.items()}
+
+
+def _sub_multiple(target: dict[int, int], f: int, source: dict[int, int]) -> None:
+    """target -= f * source, in place, storing no zeros."""
     for c, x in source.items():
-        v = target.get(c)
-        if v is None:
-            target[c] = f * x
+        v = target.get(c, 0) - f * x
+        if v:
+            target[c] = v
         else:
-            v += f * x
-            if v:
-                target[c] = v
-            else:
-                del target[c]
+            del target[c]
 
 
 class QMatrix:
-    """Immutable sparse matrix over the rationals (rows of nonzero entries)."""
+    """Immutable sparse matrix over the rationals, held as integer rows."""
 
-    __slots__ = ("sparse_rows", "nrows", "ncols", "_dense")
+    __slots__ = ("_ints", "_fractions", "nrows", "ncols", "_dense")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
         frozen = [as_vector(row) for row in rows]
@@ -104,12 +139,23 @@ class QMatrix:
             ncols = width
         elif ncols is None:
             ncols = 0
-        self.sparse_rows: tuple[SparseRow, ...] = tuple(map(_nonzero, frozen))
+        self._fractions: tuple[SparseRow, ...] | None = tuple(map(_nonzero, frozen))
+        self._ints: tuple[IntRow, ...] | None = None
         self.nrows: int = len(frozen)
         self.ncols: int = ncols
         self._dense = None
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _make(cls, ints, fractions, nrows: int, ncols: int) -> QMatrix:
+        m = cls.__new__(cls)
+        m._ints = ints
+        m._fractions = fractions
+        m.nrows = nrows
+        m.ncols = ncols
+        m._dense = None
+        return m
 
     @classmethod
     def from_sparse(cls, rows: Iterable[SparseRow], ncols: int) -> QMatrix:
@@ -118,20 +164,26 @@ class QMatrix:
         The rows are shared, not copied: no row dict is mutated once a
         matrix holds it.
         """
-        m = cls.__new__(cls)
-        m.sparse_rows = tuple(rows)
-        m.nrows = len(m.sparse_rows)
-        m.ncols = ncols
-        m._dense = None
-        return m
+        fractions = tuple(rows)
+        return cls._make(None, fractions, len(fractions), ncols)
+
+    @classmethod
+    def from_ints(cls, rows: Iterable[IntRow], ncols: int) -> QMatrix:
+        """Rows nums / den, each nums without zeros and den > 0, in lowest terms."""
+        return cls._wrap([_canon(nums, den) for nums, den in rows], ncols)
+
+    @classmethod
+    def _wrap(cls, rows: Sequence[IntRow], ncols: int) -> QMatrix:
+        """Matrix over rows already in canonical integer form."""
+        return cls._make(tuple(rows), None, len(rows), ncols)
 
     @classmethod
     def identity(cls, n: int) -> QMatrix:
-        return cls.from_sparse([{i: _ONE} for i in range(n)], n)
+        return cls._wrap([({i: 1}, 1) for i in range(n)], n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> QMatrix:
-        return cls.from_sparse([{} for _ in range(nrows)], ncols)
+        return cls._wrap([({}, 1) for _ in range(nrows)], ncols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: int | None = None) -> QMatrix:
@@ -155,13 +207,27 @@ class QMatrix:
         ncols = blocks[0].ncols
         if any(b.ncols != ncols for b in blocks):
             raise ValueError("stacked blocks differ in column count")
-        return cls.from_sparse([row for b in blocks for row in b.sparse_rows], ncols)
+        return cls._wrap([row for b in blocks for row in b.int_rows], ncols)
 
     # -- shape / access ------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
+
+    @property
+    def int_rows(self) -> tuple[IntRow, ...]:
+        """Each row in canonical integer form, built on first use."""
+        if self._ints is None:
+            self._ints = tuple(map(_int_row, self._fractions))
+        return self._ints
+
+    @property
+    def sparse_rows(self) -> tuple[SparseRow, ...]:
+        """Each row as {column: nonzero Fraction}, built on first use."""
+        if self._fractions is None:
+            self._fractions = tuple(map(_fraction_row, self._ints))
+        return self._fractions
 
     @property
     def rows(self) -> tuple[Vector, ...]:
@@ -187,30 +253,38 @@ class QMatrix:
         return list(self.transpose().rows)
 
     def transpose(self) -> QMatrix:
-        out: list[SparseRow] = [{} for _ in range(self.ncols)]
-        for i, row in enumerate(self.sparse_rows):
-            for j, x in row.items():
-                out[j][i] = x
-        return QMatrix.from_sparse(out, self.nrows)
+        rows = self.int_rows
+        den = lcm(*[d for _, d in rows])
+        out: list[dict[int, int]] = [{} for _ in range(self.ncols)]
+        for i, (nums, d) in enumerate(rows):
+            f = den // d
+            for j, x in nums.items():
+                out[j][i] = x * f
+        return QMatrix.from_ints([(col, den) for col in out], self.nrows)
 
     def is_zero(self) -> bool:
-        return not any(self.sparse_rows)
+        return not any(nums for nums, _ in self.int_rows)
 
     # -- arithmetic ----------------------------------------------------
 
     def __matmul__(self, other: QMatrix) -> QMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        orows = other.sparse_rows
+        orows = other.int_rows
+        # Bring every row of *other* over one denominator, once.
+        oden = lcm(*[d for _, d in orows])
+        scale = [oden // d for _, d in orows]
         out = []
-        for arow in self.sparse_rows:
-            acc: SparseRow = {}
-            for k, x in arow.items():
-                brow = orows[k]
-                if brow:
-                    _add_multiple(acc, x, brow)
-            out.append(acc)
-        return QMatrix.from_sparse(out, other.ncols)
+        for anums, aden in self.int_rows:
+            acc: dict[int, int] = {}
+            for k, x in anums.items():
+                bnums = orows[k][0]
+                if bnums:
+                    f = x * scale[k]
+                    for c, y in bnums.items():
+                        acc[c] = acc.get(c, 0) + f * y
+            out.append(({c: v for c, v in acc.items() if v}, aden * oden))
+        return QMatrix.from_ints(out, other.ncols)
 
     def apply_sparse(self, vec: Mapping[int, Fraction]) -> SparseRow:
         """Matrix times a column vector given by its nonzero entries."""
@@ -233,53 +307,39 @@ class QMatrix:
         out = self.apply_sparse(_nonzero(v))
         return tuple(out.get(i, _ZERO) for i in range(self.nrows))
 
-    def __add__(self, other: QMatrix) -> QMatrix:
+    def _combine(self, other: QMatrix, sign: int, op: str) -> QMatrix:
+        """self + sign * other, row by row over the lcm of the two denominators."""
         if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
+            raise ValueError(f"shape mismatch {self.shape} {op} {other.shape}")
         out = []
-        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
-            acc = dict(ra)
-            for c, x in rb.items():
-                v = acc.get(c)
-                if v is None:
-                    acc[c] = x
-                else:
-                    v += x
-                    if v:
-                        acc[c] = v
-                    else:
-                        del acc[c]
-            out.append(acc)
-        return QMatrix.from_sparse(out, self.ncols)
+        for (na, da), (nb, db) in zip(self.int_rows, other.int_rows):
+            den = lcm(da, db)
+            fa, fb = den // da, sign * (den // db)
+            acc = {c: x * fa for c, x in na.items()}
+            for c, y in nb.items():
+                acc[c] = acc.get(c, 0) + fb * y
+            out.append(({c: v for c, v in acc.items() if v}, den))
+        return QMatrix.from_ints(out, self.ncols)
+
+    def __add__(self, other: QMatrix) -> QMatrix:
+        return self._combine(other, 1, "+")
 
     def __sub__(self, other: QMatrix) -> QMatrix:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} - {other.shape}")
-        out = []
-        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
-            acc = dict(ra)
-            for c, x in rb.items():
-                v = acc.get(c)
-                if v is None:
-                    acc[c] = -x
-                elif v == x:
-                    del acc[c]
-                else:
-                    acc[c] = v - x
-            out.append(acc)
-        return QMatrix.from_sparse(out, self.ncols)
+        return self._combine(other, -1, "-")
 
     def __neg__(self) -> QMatrix:
-        return QMatrix.from_sparse(
-            [{j: -x for j, x in row.items()} for row in self.sparse_rows], self.ncols
+        return QMatrix._wrap(
+            [({j: -x for j, x in nums.items()}, den) for nums, den in self.int_rows], self.ncols
         )
 
     def scaled(self, factor) -> QMatrix:
         f = _exact(factor)
         if not f:
             return QMatrix.zeros(self.nrows, self.ncols)
-        return QMatrix.from_sparse(
-            [{j: f * x for j, x in row.items()} for row in self.sparse_rows], self.ncols
+        p, q = f.numerator, f.denominator
+        return QMatrix.from_ints(
+            [({j: p * x for j, x in nums.items()}, q * den) for nums, den in self.int_rows],
+            self.ncols,
         )
 
     # -- comparison ----------------------------------------------------
@@ -287,12 +347,11 @@ class QMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return self.shape == other.shape and self.sparse_rows == other.sparse_rows
+        return self.shape == other.shape and self.int_rows == other.int_rows
 
     def __hash__(self) -> int:
-        return hash(
-            (self.nrows, self.ncols, tuple(frozenset(row.items()) for row in self.sparse_rows))
-        )
+        rows = tuple((frozenset(nums.items()), den) for nums, den in self.int_rows)
+        return hash((self.nrows, self.ncols, rows))
 
     def __repr__(self) -> str:
         return f"QMatrix({[list(map(str, row)) for row in self.rows]})"
@@ -305,55 +364,77 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     the same shape as the input (zero rows are kept at the bottom), unit
     pivots, and zeros above and below every pivot.
 
-    Sparse Gauss-Jordan, one input row at a time: the rows found so far
-    are kept fully reduced, each keyed by its pivot column, so a new row
-    is cleared of every known pivot in one pass.  If anything is left,
-    its first column is a new pivot, which is then cleared from the
-    earlier rows.
+    Fraction-free sparse Gauss-Jordan, one input row at a time.  Only
+    the line a row spans matters, so rows are integer vectors, kept
+    primitive (content 1).  The rows found so far are kept fully
+    reduced, each keyed by its pivot column, so a new row is cleared of
+    every known pivot in one pass: with prow's pivot a and the row's
+    entry b there, row <- (a/g) row - (b/g) prow for g = gcd(a, b).  If
+    anything is left, its first column is a new pivot, which is then
+    cleared from the earlier rows the same way.  Each output row is the
+    primitive row over its pivot entry.
     """
-    found: dict[int, SparseRow] = {}
-    for source in m.sparse_rows:
+    found: dict[int, dict[int, int]] = {}
+    for source, _ in m.int_rows:
         if not source:
             continue
         row = dict(source)
-        # Known pivot rows vanish on each other's pivots, so every
-        # coefficient read here is still the input row's own.
+        # Known pivot rows vanish on each other's pivots, so clearing one
+        # pivot only rescales the row's entries at the others.
         for p in [c for c in source if c in found]:
-            _add_multiple(row, -source[p], found[p])
+            row = _eliminate(row, p, found[p])
         if not row:
             continue
+        row = _primitive(row)
         pc = min(row)
-        lead = row[pc]
-        if lead != 1:
-            row = {c: x / lead for c, x in row.items()}
-        for prow in found.values():
-            f = prow.get(pc)
-            if f is not None:
-                _add_multiple(prow, -f, row)
+        for q, prow in found.items():
+            if pc in prow:
+                found[q] = _primitive(_eliminate(prow, pc, row))
         found[pc] = row
         if len(found) == m.ncols:
             break  # full column rank: every later row reduces to zero
     pivots = tuple(sorted(found))
-    rows = [found[p] for p in pivots]
-    rows.extend({} for _ in range(m.nrows - len(pivots)))
-    return QMatrix.from_sparse(rows, m.ncols), pivots, len(pivots)
+    rows: list[IntRow] = []
+    for p in pivots:
+        row = found[p]
+        lead = row[p]
+        rows.append((row, lead) if lead > 0 else ({c: -x for c, x in row.items()}, -lead))
+    rows.extend(({}, 1) for _ in range(m.nrows - len(pivots)))
+    return QMatrix._wrap(rows, m.ncols), pivots, len(pivots)
+
+
+def _eliminate(row: dict[int, int], p: int, prow: dict[int, int]) -> dict[int, int]:
+    """row (in place, or rescaled) minus the multiple of prow that clears column p."""
+    a, b = prow[p], row[p]
+    if b % a:
+        g = gcd(a, b)
+        s, b = a // g, b // g
+        row = {c: s * x for c, x in row.items()}
+    else:
+        b //= a
+    _sub_multiple(row, b, prow)
+    return row
 
 
 def kernel(m: QMatrix) -> "Subspace":
     """Null space { v : m v = 0 } as a canonical subspace of Q^ncols."""
     reduced, pivots, rank = rref(m)
+    pivot_rows = reduced.int_rows[:rank]
+    den = lcm(*[d for _, d in pivot_rows])
     pivot_set = set(pivots)
-    vectors = {f: {f: _ONE} for f in range(m.ncols) if f not in pivot_set}
-    for p, row in zip(pivots, reduced.sparse_rows):
-        for c, x in row.items():
+    # The free vector of f over den: 1 at f, -reduced[p][f] at each pivot p.
+    vectors = {f: {f: den} for f in range(m.ncols) if f not in pivot_set}
+    for p, (nums, d) in zip(pivots, pivot_rows):
+        scale = den // d
+        for c, x in nums.items():
             if c != p:
-                vectors[c][p] = -x
-    return Subspace.from_sparse(m.ncols, vectors.values())
+                vectors[c][p] = -x * scale
+    return Subspace.spanned(QMatrix.from_ints([(v, den) for v in vectors.values()], m.ncols))
 
 
 def image(m: QMatrix) -> "Subspace":
     """Column space of *m* as a canonical subspace of Q^nrows."""
-    return Subspace.from_sparse(m.nrows, m.transpose().sparse_rows)
+    return Subspace.spanned(m.transpose())
 
 
 def solve(m: QMatrix, b: Sequence) -> Vector | None:
@@ -362,13 +443,20 @@ def solve(m: QMatrix, b: Sequence) -> Vector | None:
     if len(rhs) != m.nrows:
         raise ValueError("right-hand side has wrong length")
     n = m.ncols
-    augmented = [{**row, n: x} if x else row for row, x in zip(m.sparse_rows, rhs)]
-    reduced, pivots, rank = rref(QMatrix.from_sparse(augmented, n + 1))
+    augmented = []
+    for (nums, den), x in zip(m.int_rows, rhs):
+        if x:
+            q = x.denominator
+            nums = {c: v * q for c, v in nums.items()}
+            nums[n] = x.numerator * den
+            den *= q
+        augmented.append((nums, den))
+    reduced, pivots, rank = rref(QMatrix.from_ints(augmented, n + 1))
     if n in pivots:
         return None
     x = [_ZERO] * n
-    for p, row in zip(pivots, reduced.sparse_rows):
-        x[p] = row.get(n, _ZERO)
+    for p, (nums, den) in zip(pivots, reduced.int_rows):
+        x[p] = Fraction(nums.get(n, 0), den)
     return tuple(x)
 
 
@@ -377,12 +465,14 @@ def inverse(m: QMatrix) -> QMatrix:
     if m.nrows != m.ncols:
         raise ValueError("only square matrices can be inverted")
     n = m.nrows
-    augmented = [{**row, n + i: _ONE} for i, row in enumerate(m.sparse_rows)]
-    reduced, pivots, rank = rref(QMatrix.from_sparse(augmented, 2 * n))
+    # Row i scaled by its denominator: [den A_i | den e_i] spans the same line.
+    augmented = [({**nums, n + i: den}, 1) for i, (nums, den) in enumerate(m.int_rows)]
+    reduced, pivots, rank = rref(QMatrix._wrap(augmented, 2 * n))
     if rank < n or any(p >= n for p in pivots):
         raise ValueError("matrix is singular")
-    return QMatrix.from_sparse(
-        [{c - n: x for c, x in row.items() if c >= n} for row in reduced.sparse_rows], n
+    return QMatrix.from_ints(
+        [({c - n: x for c, x in nums.items() if c >= n}, den) for nums, den in reduced.int_rows],
+        n,
     )
 
 
@@ -390,10 +480,7 @@ def det(m: QMatrix) -> Fraction:
     """Determinant by fraction-exact Gaussian elimination."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    return _det_rows([list(row) for row in m.rows])
-
-
-def _det_rows(work: list[list[Fraction]]) -> Fraction:
+    work = [list(row) for row in m.rows]
     n = len(work)
     sign = 1
     result = _ONE
@@ -448,8 +535,13 @@ class Subspace:
     @classmethod
     def from_sparse(cls, ambient_dim: int, rows: Iterable[SparseRow]) -> Subspace:
         """Span of rows holding only nonzero canonical entries."""
-        reduced, pivots, rank = rref(QMatrix.from_sparse(rows, ambient_dim))
-        return cls(ambient_dim, QMatrix.from_sparse(reduced.sparse_rows[:rank], ambient_dim))
+        return cls.spanned(QMatrix.from_sparse(rows, ambient_dim))
+
+    @classmethod
+    def spanned(cls, m: QMatrix) -> Subspace:
+        """Span of the rows of *m*, in Q^ncols."""
+        reduced, pivots, rank = rref(m)
+        return cls(m.ncols, QMatrix._wrap(reduced.int_rows[:rank], m.ncols))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
@@ -466,7 +558,7 @@ class Subspace:
     @cached_property
     def pivots(self) -> tuple[int, ...]:
         """Pivot column of each basis row: its first nonzero entry."""
-        return tuple(min(row) for row in self.basis.sparse_rows)
+        return tuple(min(nums) for nums, _ in self.basis.int_rows)
 
     def reduce_sparse(self, vec: Mapping[int, Fraction]) -> SparseRow:
         """Remainder of a sparse vector after eliminating all basis pivots."""
@@ -475,7 +567,12 @@ class Subspace:
         for p, row in zip(self.pivots, self.basis.sparse_rows):
             f = vec.get(p)
             if f is not None:
-                _add_multiple(out, -f, row)
+                for c, x in row.items():
+                    v = out.get(c, _ZERO) - f * x
+                    if v:
+                        out[c] = v
+                    else:
+                        del out[c]
         return out
 
     def reduce(self, v: Sequence) -> Vector:
@@ -508,7 +605,7 @@ def _check_ambient(a: Subspace, b: Subspace) -> None:
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_ambient(a, b)
-    return Subspace.from_sparse(a.ambient_dim, a.basis.sparse_rows + b.basis.sparse_rows)
+    return Subspace.spanned(QMatrix.stacked([a.basis, b.basis]))
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -517,15 +614,17 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(n)
-    block = [{**row, **{c + n: x for c, x in row.items()}} for row in a.basis.sparse_rows]
-    block += b.basis.sparse_rows
-    reduced, pivots, rank = rref(QMatrix.from_sparse(block, 2 * n))
+    block = [
+        ({**nums, **{c + n: x for c, x in nums.items()}}, den) for nums, den in a.basis.int_rows
+    ]
+    block += b.basis.int_rows
+    reduced, pivots, rank = rref(QMatrix._wrap(block, 2 * n))
     inter_rows = [
-        {c - n: x for c, x in row.items()}
-        for p, row in zip(pivots, reduced.sparse_rows)
+        ({c - n: x for c, x in nums.items()}, den)
+        for p, (nums, den) in zip(pivots, reduced.int_rows)
         if p >= n
     ]
-    return Subspace.from_sparse(n, inter_rows)
+    return Subspace.spanned(QMatrix.from_ints(inter_rows, n))
 
 
 @dataclass(frozen=True)
@@ -575,14 +674,15 @@ def quotient_structure(w: Subspace, v: Subspace) -> QuotientSpace:
     _check_ambient(w, v)
     if not v.contains_subspace(w):
         raise NotSubspace("the denominator is not contained in the numerator")
-    perp = kernel(w.basis) if w.dim else Subspace.full(w.ambient_dim)
-    complement = subspace_intersect(v, perp)
-    spanning = complement.basis.sparse_rows + w.basis.sparse_rows
-    if spanning:
-        mt = QMatrix.from_sparse(spanning, w.ambient_dim)
+    # v meets the orthogonal complement of w in {c V : c in ker(W V^T)}:
+    # one elimination of a (dim w) x (dim v) block.
+    coefficients = kernel(w.basis @ v.basis.transpose())
+    complement = Subspace.spanned(coefficients.basis @ v.basis)
+    if complement.dim or w.dim:
+        mt = QMatrix.stacked([complement.basis, w.basis])
         split = inverse(mt @ mt.transpose())
         # Only the representative rows of the split are ever read.
-        solver = QMatrix.from_sparse(split.sparse_rows[: complement.dim], split.ncols) @ mt
+        solver = QMatrix._wrap(split.int_rows[: complement.dim], split.ncols) @ mt
     else:
         solver = None
     return QuotientSpace(v, w, complement, solver)

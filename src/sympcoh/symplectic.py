@@ -24,10 +24,11 @@ decision procedures do not need them.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Mapping
 
 from .errors import (
@@ -40,6 +41,7 @@ from .exterior import (
     Bivector,
     Form,
     GradedOperator,
+    basis_position,
     contract,
     merge_with_sign,
     monomial_basis,
@@ -47,7 +49,7 @@ from .exterior import (
     top_coefficient,
 )
 from .lie import LieAlgebra
-from .linalg import QMatrix, SparseRow, Subspace, inverse, kernel, solve, _det_rows
+from .linalg import IntRow, QMatrix, SparseRow, Subspace, inverse, kernel, solve
 
 __all__ = [
     "SymplecticStructure",
@@ -171,6 +173,7 @@ class SymplecticStructure:
         self._dd_lambda_blocks: dict[int, QMatrix] = {}
         self._L_powers: dict[tuple[int, int], QMatrix] = {}
         self._primitive: dict[int, Subspace] = {}
+        self._minors: tuple[int, list[dict[int, int]]] | None = None
 
         self._validate_sl2()
 
@@ -273,15 +276,22 @@ class SymplecticStructure:
     def pairing_matrix(self, k: int) -> QMatrix:
         """Gram matrix of the degree-k pairing (omega^{-1})^k in the lex basis.
 
-        Entries are determinants det(omega^{-1}(e^{a_i}, e^{b_j})).
+        Entries are the k-minors det(omega^{-1}(e^{a_i}, e^{b_j})).  With
+        P the pairing matrix and D the lcm of its denominators, the block
+        is C_k / D^k for C_k the k-th compound of the integer matrix D P.
+        Compounds are built degree by degree from the previous one, which
+        is kept for the next call.
         """
-        basis = monomial_basis(self.dim, k)
-        rows = self.pairing.rows
-        out = []
-        for a in basis:
-            dets = (_det_rows([[rows[i - 1][j - 1] for j in b] for i in a]) for b in basis)
-            out.append({j: x for j, x in enumerate(dets) if x})
-        return QMatrix.from_sparse(out, len(basis))
+        rows = self.pairing.int_rows
+        den = lcm(*[d for _, d in rows])
+        top = [{c: x * (den // d) for c, x in nums.items()} for nums, d in rows]
+        done, minors = self._minors or (0, [{0: 1}])
+        if done > k:
+            done, minors = 0, [{0: 1}]
+        for j in range(done + 1, k + 1):
+            minors = _next_compound(top, minors, self.dim, j)
+        self._minors = (k, minors)
+        return QMatrix.from_ints([(row, den**k) for row in minors], len(minors))
 
     @cached_property
     def star_op(self) -> GradedOperator:
@@ -298,18 +308,20 @@ class SymplecticStructure:
         c = self.volume_coeff / factorial(self.n)
         everything = tuple(range(1, self.dim + 1))
         blocks: dict[int, QMatrix] = {}
-        for k in range(self.dim + 1):
-            basis = monomial_basis(self.dim, k)
-            cobasis = monomial_basis(self.dim, self.dim - k)
-            positions = {key: i for i, key in enumerate(cobasis)}
-            gram = self.pairing_matrix(k)
-            rows: list[SparseRow] = [{} for _ in cobasis]
-            for a, gram_row in zip(basis, gram.sparse_rows):
-                complement = tuple(i for i in everything if i not in a)
-                sign, _ = merge_with_sign(a, complement)
-                factor = sign * c
-                rows[positions[complement]] = {b: factor * x for b, x in gram_row.items()}
-            blocks[k] = QMatrix.from_sparse(rows, len(basis))
+        try:
+            for k in range(self.dim + 1):
+                basis = monomial_basis(self.dim, k)
+                cobasis = monomial_basis(self.dim, self.dim - k)
+                positions = {key: i for i, key in enumerate(cobasis)}
+                rows: list[IntRow] = [({}, 1) for _ in cobasis]
+                for a, (nums, den) in zip(basis, self.pairing_matrix(k).int_rows):
+                    complement = tuple(i for i in everything if i not in a)
+                    sign, _ = merge_with_sign(a, complement)
+                    f, q = sign * c.numerator, c.denominator
+                    rows[positions[complement]] = ({b: f * x for b, x in nums.items()}, q * den)
+                blocks[k] = QMatrix.from_ints(rows, len(basis))
+        finally:
+            self._minors = None
         op = GradedOperator(self.dim, None, blocks)
         self._validate_star(op)
         return op
@@ -441,6 +453,40 @@ class SymplecticStructure:
                     acc = acc + Form.from_sparse(self.dim, k - 2 * r, vec) * x
             components[r] = acc * factorial(r)
         return LefschetzComponents(k, n, components)
+
+
+def _next_compound(
+    top: list[dict[int, int]], minors: list[dict[int, int]], dim: int, k: int
+) -> list[dict[int, int]]:
+    """Rows of the k-th compound C_k of an integer matrix M, from C_{k-1}.
+
+    Rows are {column: nonzero entry} over 0-based lex positions.  Laplace
+    expansion along the first row, over the nonzero entries only:
+        C_k[a][b] = sum_j (-1)^j M[a_1][b_j] C_{k-1}[a - a_1][b - b_j].
+    """
+    # landing[i][c]: the position of (the i-th (k-1)-subset) + {c + 1}, and
+    # (-1)^j for the place j that c + 1 takes in it.
+    landing = []
+    for key in monomial_basis(dim, k - 1):
+        slots = {}
+        for c in range(1, dim + 1):
+            if c not in key:
+                j = bisect(key, c)
+                slots[c - 1] = (basis_position(dim, key[:j] + (c,) + key[j:]), -1 if j % 2 else 1)
+        landing.append(slots)
+    out = []
+    for a in monomial_basis(dim, k):
+        first = top[a[0] - 1]
+        acc: dict[int, int] = {}
+        for i, minor in minors[basis_position(dim, a[1:])].items():
+            slots = landing[i]
+            for c, x in first.items():
+                hit = slots.get(c)
+                if hit is not None:
+                    b, sign = hit
+                    acc[b] = acc.get(b, 0) + sign * x * minor
+        out.append({b: v for b, v in acc.items() if v})
+    return out
 
 
 def _r_range(k: int, n: int) -> range:

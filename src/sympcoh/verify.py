@@ -66,6 +66,7 @@ BASE_STRUCTURES: dict[int, tuple[str, ...]] = {
         "0,0,0,0,12,13,14,23",
         "-13,23,0,-56,46,0,0,0",
     ),
+    10: ("0,0,0,[1,2],[1,4]-[2,3],[1,5]+[3,4],0,0,0,0",),
 }
 
 

@@ -106,6 +106,21 @@ def test_verify_rejects_odd_dim(capsys):
     assert main(["verify", "--dim", "5"]) == EXIT_INPUT
 
 
+def test_verify_dims_come_from_the_catalog(monkeypatch, capsys):
+    from sympcoh.verify import VerifySummary
+
+    seen = []
+    monkeypatch.setattr(
+        "sympcoh.cli.run_verify",
+        lambda seed, dims, count_per_dim: seen.append(dims) or VerifySummary(seed, [], {}),
+    )
+    assert main(["verify", "--dim", "10", "--count", "1"]) == EXIT_OK
+    assert main(["verify"]) == EXIT_OK
+    assert seen == [(10,), (4, 6)]
+    assert main(["verify", "--dim", "12"]) == EXIT_INPUT
+    assert "use one of 2, 4, 6, 8, 10" in capsys.readouterr().err
+
+
 def test_corpus_list(capsys):
     assert main(["corpus", "--list"]) == EXIT_OK
     out = capsys.readouterr().out

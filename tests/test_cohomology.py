@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +14,10 @@ from sympcoh import (
     Subspace,
     build_lie_algebra,
     corpus_model,
+    corpus_names,
     de_rham_cohomology,
     kernel,
+    load_model,
     parse_form,
     parse_structure_equations,
     render_form,
@@ -322,3 +325,16 @@ class TestCupPairing:
         engine = SymplecticCohomology(s)
         with pytest.raises(NotUnimodular):
             engine.cup_matrix(0)
+
+
+NIL8 = Path(__file__).resolve().parents[1] / "perfbench" / "models" / "nil8.model"
+
+
+@pytest.mark.parametrize("name", [*corpus_names(), "nil8"])
+def test_quotient_complement_is_the_zassenhaus_intersection(name):
+    """v meet w-perp from ker(W V^T) agrees with the Zassenhaus route."""
+    model = load_model(NIL8) if name == "nil8" else corpus_model(name)
+    g = build_lie_algebra(parse_structure_equations(model.structure, model.dim))
+    for space in de_rham_cohomology(g):
+        w, v = space.denominator, space.numerator
+        assert space.quotient.complement == subspace_intersect(v, kernel(w.basis))

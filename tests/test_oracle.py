@@ -62,10 +62,12 @@ def test_operator_blocks_match_sympy(name):
 
 
 entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# Denominators up to 10^6: the integer rows then carry wide lcms and contents.
+wide_entries = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 
 
 @st.composite
-def sparse_matrices(draw, square=False):
+def sparse_matrices(draw, square=False, entries=entries):
     """Up to 12 x 12, with at most a third of the cells set (most are zero).
 
     A square one also gets a drawn diagonal, so that many are invertible.
@@ -115,6 +117,30 @@ def test_solve_matches_sympy(m, rhs):
 @settings(deadline=None, max_examples=40)
 @given(sparse_matrices(square=True))
 def test_inverse_matches_sympy(m):
+    oracle = to_sympy(m)
+    if oracle.det() == 0:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(m)
+    else:
+        assert inverse(m) == from_sympy(oracle.inv())
+
+
+@settings(deadline=None, max_examples=40)
+@given(sparse_matrices(entries=wide_entries))
+def test_rref_matches_sympy_wide_denominators(m):
+    assert_rref_matches(m)
+
+
+@settings(deadline=None, max_examples=40)
+@given(sparse_matrices(entries=wide_entries))
+def test_kernel_matches_sympy_wide_denominators(m):
+    null = [[Fraction(int(x.p), int(x.q)) for x in v] for v in to_sympy(m).nullspace()]
+    assert kernel(m) == Subspace.from_vectors(m.ncols, null)
+
+
+@settings(deadline=None, max_examples=40)
+@given(sparse_matrices(square=True, entries=wide_entries))
+def test_inverse_matches_sympy_wide_denominators(m):
     oracle = to_sympy(m)
     if oracle.det() == 0:
         with pytest.raises(ValueError, match="singular"):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -11,14 +12,18 @@ from sympcoh import (
     LefschetzComponents,
     NotClosed,
     OddDimension,
+    QMatrix,
     build_lie_algebra,
     lefschetz_coefficient,
+    load_model,
     parse_form,
     parse_structure_equations,
+    structure_from_model,
     validate_symplectic,
 )
 from sympcoh.exterior import monomial_basis
-from sympcoh.verify import random_form
+from sympcoh.linalg import det
+from sympcoh.verify import random_form, random_symplectic_structure
 
 
 def structure(text, omega_text):
@@ -228,3 +233,30 @@ class TestPrimitiveSubspaces:
                 for r in range(max(k - 3, 0), k // 2 + 1)
             )
             assert total == comb(6, k)
+
+
+
+NIL8 = Path(__file__).resolve().parents[1] / "perfbench" / "models" / "nil8.model"
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 1, 2, 3, None], ids=lambda seed: "nil8" if seed is None else f"random6-{seed}"
+)
+def test_pairing_blocks_are_the_minors_of_the_pairing(seed):
+    """Every entry of the degree-k Gram block is the matching k x k minor.
+
+    The degrees run downwards, so each block is built afresh; `star_op`
+    builds them upwards, each from the one before.
+    """
+    if seed is None:
+        s = structure_from_model(load_model(NIL8))
+    else:
+        s = random_symplectic_structure(6, random.Random(seed))
+    pairing = s.pairing.rows
+    for k in reversed(range(s.dim + 1)):
+        basis = monomial_basis(s.dim, k)
+        gram = s.pairing_matrix(k).rows
+        for i, a in enumerate(basis):
+            for j, b in enumerate(basis):
+                minor = QMatrix([[pairing[r - 1][c - 1] for c in b] for r in a], len(b))
+                assert gram[i][j] == det(minor), (k, a, b)
