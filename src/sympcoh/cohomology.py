@@ -34,6 +34,7 @@ from .linalg import (
     Subspace,
     Vector,
     image,
+    image_meet_kernel,
     kernel,
     quotient_structure,
     rref,
@@ -220,7 +221,7 @@ class SymplecticCohomology:
         prim = s.primitive_subspace(sdeg)
         d, lam, ddl = s.d_block(sdeg), s.lambda_block(sdeg), s.dd_lambda_block(sdeg)
         num_a = kernel(QMatrix.stacked([d, s.d_lambda_block(sdeg), lam]))
-        den_a = subspace_intersect(image(ddl), prim)
+        den_a = image_meet_kernel(ddl, lam)  # im d d^Lambda meet P
         space = CohomologySpace(s.dim, sdeg, num_a, den_a)
 
         num_b = kernel(QMatrix.stacked([d, lam]))
@@ -278,8 +279,9 @@ class SymplecticCohomology:
             return group
         space = self.de_rham[degree]
         prim = self.s.primitive_subspace(s)
-        shifted = image(self.s.L_power_block(r, s) @ prim.basis.transpose())
-        closed_part = subspace_intersect(shifted, space.numerator)
+        # L^r P^s meet ker d, with L^r P^s the image of M = L^r_s P^T.
+        lifted = self.s.L_power_block(r, s) @ prim.basis.transpose()
+        closed_part = image_meet_kernel(lifted, self.s.d_block(degree))
         class_vectors = [
             space.quotient.sparse_coordinates(row) for row in closed_part.basis.sparse_rows
         ]

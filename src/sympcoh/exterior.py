@@ -1,8 +1,11 @@
 """Graded exterior algebra over the dual of an m-dimensional space.
 
 Sparse multivectors with exact rational coefficients in the lexicographic
-monomial basis, wedge products, contraction with a bivector, and
-materialization of graded linear operators as exact matrices.
+monomial basis, wedge products, contraction with a bivector, and graded
+linear operators as exact matrices.  An operator's blocks are built
+either from an integer rule on basis monomials (`GradedOperator.from_rule`,
+which builds d, L and Lambda) or by pushing each basis monomial through
+a Form-level action (`GradedOperator.materialize`, `operator_matrix`).
 
 Conventions (normative for the whole package):
 
@@ -28,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimMismatch, MixedDegree
 from .linalg import QMatrix, SparseRow, Vector, _exact
@@ -396,6 +399,8 @@ class GradedOperator:
         return QMatrix.zeros(rows, cols)
 
     def apply(self, form: Form) -> Form:
+        if form.dim != self.dim:
+            raise DimMismatch(f"operator over dim {self.dim} applied to a form over dim {form.dim}")
         k = form.degree
         t = self.target_degree(k)
         if form.is_zero() or not 0 <= t <= self.dim:
@@ -412,6 +417,30 @@ class GradedOperator:
             t = dim - k if shift is None else k + shift
             if 0 <= t <= dim:
                 blocks[k] = operator_matrix(action, dim, k, t)
+        return cls(dim, shift, blocks)
+
+    @classmethod
+    def from_rule(
+        cls, dim: int, shift: int, rule: Callable[[MultiIndex], Iterable[tuple[MultiIndex, int]]],
+        den: int,
+    ) -> GradedOperator:
+        """Blocks of the operator sending e^key to sum(c e^target) / den.
+
+        *rule* yields the (target monomial, integer c) terms of each basis
+        monomial; a target may repeat, and its terms are summed.
+        """
+        blocks = {}
+        for k in range(max(0, -shift), min(dim, dim - shift) + 1):
+            positions = _positions(dim, k + shift)
+            rows: list[dict[int, int]] = [{} for _ in positions]
+            for j, key in enumerate(monomial_basis(dim, k)):
+                image: dict[MultiIndex, int] = {}
+                for target, c in rule(key):
+                    image[target] = image.get(target, 0) + c
+                for target, c in image.items():
+                    if c:
+                        rows[positions[target]][j] = c
+            blocks[k] = QMatrix.from_ints([(row, den) for row in rows], comb(dim, k))
         return cls(dim, shift, blocks)
 
 

@@ -1,10 +1,13 @@
 """Lie algebras from structure equations and their Chevalley-Eilenberg complex.
 
-The input is the tuple of coframe differentials d e^k (degree-2 forms);
-the differential extends to all degrees as an odd derivation, is
-materialized once as exact blocks d_k, and every later application of d
-goes through those blocks.  The constructor checks the block equation
-d_{k+1} d_k = 0 in every degree, which is the Jacobi identity.
+The input is the tuple of coframe differentials d e^k (degree-2 forms).
+Their coefficients are held once as integers over one denominator: the
+differential extends to all degrees as an odd derivation of that integer
+table and is built once as exact blocks d_k, and every later application
+of d goes through those blocks.  The constructor checks the block
+equation d_{k+1} d_k = 0 in every degree, which is the Jacobi identity.
+The lower central and derived series and the unimodularity traces read
+the same table; `bracket` and `bracket_basis` give Fraction values.
 Structure constants follow the convention
 
     d e^k = - sum_{i<j} c^k_{ij} e^i ^ e^j,      [e_i, e_j] = sum_k c^k_{ij} e_k,
@@ -20,8 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import JacobiViolation
-from .exterior import Form, GradedOperator, nonzero_columns
-from .linalg import QMatrix, Subspace, Vector, as_vector
+from .exterior import Form, GradedOperator, merge_with_sign, nonzero_columns
+from .linalg import QMatrix, Subspace, Vector, _int_row, _over_lcm, as_vector
 from .parsing import StructureEquations
 
 __all__ = [
@@ -32,29 +35,35 @@ __all__ = [
 ]
 
 
-def _d_monomial(structure: StructureEquations, key: tuple[int, ...]) -> Form:
-    """Odd-derivation extension of d to the basis monomial e^{key}."""
-    dim = structure.dim
-    total = Form.zero(dim, min(len(key) + 1, dim))
-    for p, idx in enumerate(key):
-        dgen = structure.differentials[idx - 1]
-        if dgen.is_zero():
-            continue
-        rest = Form.monomial(dim, key[:p] + key[p + 1 :])
-        term = dgen.wedge(rest)
-        total = total + (term if p % 2 == 0 else -term)
-    return total
-
-
 class LieAlgebra:
     """Finite-dimensional Lie algebra with its full exterior differential."""
 
     def __init__(self, structure: StructureEquations):
         self.structure = structure
         self.dim = structure.dim
-        self.d_op = GradedOperator.materialize(
-            self.dim, +1, lambda m: _d_monomial(structure, next(iter(m.coeffs)))
-        )
+        differentials = structure.differentials
+        # d e^k = sum_{i<j} n^k_ij e^ij / den, and c^k_ij = -n^k_ij / den.
+        nums, den = _over_lcm([_int_row(f.coeffs) for f in differentials])
+        terms = [list(row.items()) for row in nums]
+        # The integer constants den * c^k_ij, 0-based and for both orders of
+        # (i, j): [e_i, e_j] = sum_k brackets[i, j][k] e_k / den.
+        self._brackets: dict[tuple[int, int], dict[int, int]] = {}
+        self._den = den
+        for k, entry in enumerate(terms):
+            for (i, j), n in entry:
+                self._brackets.setdefault((i - 1, j - 1), {})[k] = -n
+                self._brackets.setdefault((j - 1, i - 1), {})[k] = n
+
+        def d_rule(key):
+            # Odd derivation: d e^key = sum_p (-1)^p d(e^{key_p}) ^ e^{key - key_p}.
+            for p, idx in enumerate(key):
+                rest = key[:p] + key[p + 1 :]
+                for pair, n in terms[idx - 1]:
+                    sign, merged = merge_with_sign(pair, rest)
+                    if sign:
+                        yield merged, (sign if p % 2 == 0 else -sign) * n
+
+        self.d_op = GradedOperator.from_rule(self.dim, +1, d_rule, den)
         self._verify_d_squared()
 
     def _verify_d_squared(self) -> None:
@@ -79,11 +88,11 @@ class LieAlgebra:
     @cached_property
     def structure_constants(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         """c^k_{ij} for i < j, keyed as (i, j) -> {k: value}."""
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for k in range(1, self.dim + 1):
-            for (i, j), value in self.structure.differentials[k - 1].coeffs.items():
-                table.setdefault((i, j), {})[k] = -value
-        return table
+        return {
+            (i + 1, j + 1): {k + 1: Fraction(c, self._den) for k, c in comps.items()}
+            for (i, j), comps in self._brackets.items()
+            if i < j
+        }
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[e_i, e_j] as a coordinate vector."""
@@ -126,10 +135,23 @@ def build_lie_algebra(structure: StructureEquations) -> LieAlgebra:
 
 
 def _bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    vectors = [
-        g.bracket(u, v) for u in a.basis.rows for v in b.basis.rows
-    ]
-    return Subspace.from_vectors(g.dim, vectors)
+    """span [a, b], from integer basis rows and the integer structure constants."""
+    brackets = g._brackets
+    rows = []
+    for u, _ in a.basis.int_rows:
+        for v, _ in b.basis.int_rows:
+            # [u, v] = sum_{i,j} u_i v_j [e_i, e_j]; the common denominator of
+            # u, v and the constants does not change the span.
+            acc: dict[int, int] = {}
+            for i, x in u.items():
+                for j, y in v.items():
+                    comps = brackets.get((i, j))
+                    if comps:
+                        f = x * y
+                        for k, c in comps.items():
+                            acc[k] = acc.get(k, 0) + f * c
+            rows.append(({k: c for k, c in acc.items() if c}, 1))
+    return Subspace.spanned(QMatrix.from_ints(rows, g.dim))
 
 
 def _descending_series(g: LieAlgebra, next_term) -> list[Subspace]:
@@ -152,12 +174,9 @@ def check_properties(g: LieAlgebra) -> AlgebraProperties:
     nilpotent = lower_central[-1].dim == 0
     solvable = derived[-1].dim == 0
 
-    unimodular = True
-    for i in range(1, g.dim + 1):
-        trace = Fraction(0)
-        for k in range(1, g.dim + 1):
-            trace += g.bracket_basis(i, k)[k - 1]
-        if trace:
-            unimodular = False
-            break
+    # tr ad(e_i) = sum_k c^k_{ik}, read from the same integer table.
+    traces = [0] * g.dim
+    for (i, j), comps in g._brackets.items():
+        traces[i] += comps.get(j, 0)
+    unimodular = not any(traces)
     return AlgebraProperties(nilpotent, solvable, unimodular)

@@ -15,8 +15,10 @@ multiply-adds with one gcd per result row.  Fractions appear only at the
 boundary: `sparse_rows` ({column: Fraction}) and the dense `rows` are
 views built on first use; a matrix built from Fractions keeps them as
 its view and converts on first kernel use.  `apply_sparse`,
-`Subspace.reduce_sparse` and `QuotientSpace.sparse_coordinates` read the
-Fraction view.
+`Subspace.reduce_sparse`, `Subspace.contains_subspace` and
+`QuotientSpace.sparse_coordinates` also run on the integer rows: a
+Fraction vector is brought over one denominator once, and Fractions are
+built only for the values returned.
 
 Subspaces are stored by their unique RREF basis, so subspace equality
 is literal equality of matrices.  All values are immutable after
@@ -57,6 +59,7 @@ __all__ = [
     "det",
     "subspace_sum",
     "subspace_intersect",
+    "image_meet_kernel",
     "quotient_structure",
     "as_vector",
 ]
@@ -98,6 +101,15 @@ def _int_row(row: SparseRow) -> IntRow:
     """Integer form of a Fraction row: its entries over their lcm."""
     den = lcm(*[x.denominator for x in row.values()])
     return {c: x.numerator * (den // x.denominator) for c, x in row.items()}, den
+
+
+def _over_lcm(rows: Sequence[IntRow]) -> tuple[list[dict[int, int]], int]:
+    """Integer rows (nums, den) brought over the lcm D of their denominators.
+
+    Returns the numerators over D, one dict per row, and D.
+    """
+    den = lcm(*[d for _, d in rows])
+    return [{c: x * (den // d) for c, x in nums.items()} for nums, d in rows], den
 
 
 def _fraction_row(row: IntRow) -> SparseRow:
@@ -288,15 +300,26 @@ class QMatrix:
 
     def apply_sparse(self, vec: Mapping[int, Fraction]) -> SparseRow:
         """Matrix times a column vector given by its nonzero entries."""
+        return self._apply_int(*_int_row(vec))
+
+    def _apply_int(self, vec: dict[int, int], vden: int) -> SparseRow:
+        """Matrix times the column vector vec / vden, as {row: Fraction}."""
         out: SparseRow = {}
-        for i, row in enumerate(self.sparse_rows):
-            acc = _ZERO
-            for j, x in row.items():
-                y = vec.get(j)
-                if y is not None:
-                    acc += x * y
+        size = len(vec)
+        for i, (nums, den) in enumerate(self.int_rows):
+            acc = 0
+            if len(nums) <= size:
+                for j, x in nums.items():
+                    y = vec.get(j)
+                    if y is not None:
+                        acc += x * y
+            else:
+                for j, y in vec.items():
+                    x = nums.get(j)
+                    if x is not None:
+                        acc += x * y
             if acc:
-                out[i] = acc
+                out[i] = Fraction(acc, den * vden)
         return out
 
     def apply(self, vec: Sequence) -> Vector:
@@ -560,20 +583,41 @@ class Subspace:
         """Pivot column of each basis row: its first nonzero entry."""
         return tuple(min(nums) for nums, _ in self.basis.int_rows)
 
+    @cached_property
+    def _pivot_rows(self) -> dict[int, IntRow]:
+        """Each basis row, keyed by its pivot column."""
+        return dict(zip(self.pivots, self.basis.int_rows))
+
+    def _pivots_in(self, vec: Mapping[int, object]) -> list[int]:
+        """The pivot columns where *vec* is nonzero, looping over the smaller."""
+        rows = self._pivot_rows
+        if len(vec) <= len(rows):
+            return [c for c in vec if c in rows]
+        return [p for p in rows if p in vec]
+
     def reduce_sparse(self, vec: Mapping[int, Fraction]) -> SparseRow:
         """Remainder of a sparse vector after eliminating all basis pivots."""
-        out = dict(vec)
-        # RREF rows vanish on each other's pivots: one pass, any order.
-        for p, row in zip(self.pivots, self.basis.sparse_rows):
-            f = vec.get(p)
-            if f is not None:
-                for c, x in row.items():
-                    v = out.get(c, _ZERO) - f * x
-                    if v:
-                        out[c] = v
-                    else:
-                        del out[c]
-        return out
+        nums, vden = _int_row(vec)
+        rows = self._pivot_rows
+        hits = self._pivots_in(nums)
+        # RREF rows vanish on each other's pivots: one pass, any order.  Over
+        # the lcm of the rows' denominators, vec - sum_p vec_p row_p is
+        # (vec den - sum_p vec_p (den / d_p) nums_p) / (vden den).
+        den = lcm(*[rows[p][1] for p in hits])
+        out = {c: x * den for c, x in nums.items()}
+        for p in hits:
+            pnums, d = rows[p]
+            _sub_multiple(out, nums[p] * (den // d), pnums)
+        return _fraction_row((out, vden * den))
+
+    def _reduces_to_zero(self, nums: dict[int, int]) -> bool:
+        """Whether the integer vector *nums* lies in this subspace."""
+        rows = self._pivot_rows
+        row = dict(nums)
+        # Known pivot rows vanish on each other's pivots, as in `rref`.
+        for p in self._pivots_in(nums):
+            row = _eliminate(row, p, rows[p][0])
+        return not row
 
     def reduce(self, v: Sequence) -> Vector:
         """Remainder of *v* after eliminating all basis pivots."""
@@ -590,7 +634,7 @@ class Subspace:
 
     def contains_subspace(self, other: Subspace) -> bool:
         _check_ambient(self, other)
-        return not any(self.reduce_sparse(row) for row in other.basis.sparse_rows)
+        return all(self._reduces_to_zero(nums) for nums, _ in other.basis.int_rows)
 
     def vectors(self) -> tuple[Vector, ...]:
         return self.basis.rows
@@ -627,6 +671,11 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.spanned(QMatrix.from_ints(inter_rows, n))
 
 
+def image_meet_kernel(m: QMatrix, a: QMatrix) -> Subspace:
+    """im m meet ker a, as m ker(a m): one elimination of a (rows a) x (cols m) block."""
+    return Subspace.spanned(kernel(a @ m).basis @ m.transpose())
+
+
 @dataclass(frozen=True)
 class QuotientSpace:
     """Quotient v / w with orthogonal-complement representatives.
@@ -661,11 +710,12 @@ class QuotientSpace:
 
     def sparse_coordinates(self, vec: Mapping[int, Fraction]) -> Vector:
         """`coordinates` of a vector given by its nonzero entries."""
-        if self.total.reduce_sparse(vec):
+        nums, den = _int_row(vec)
+        if not self.total._reduces_to_zero(nums):
             raise NotInSubspace("vector is not in the total space of the quotient")
         if self._solver is None:
             return ()
-        out = self._solver.apply_sparse(vec)
+        out = self._solver._apply_int(nums, den)
         return tuple(out.get(i, _ZERO) for i in range(self.dim))
 
 
@@ -674,10 +724,8 @@ def quotient_structure(w: Subspace, v: Subspace) -> QuotientSpace:
     _check_ambient(w, v)
     if not v.contains_subspace(w):
         raise NotSubspace("the denominator is not contained in the numerator")
-    # v meets the orthogonal complement of w in {c V : c in ker(W V^T)}:
-    # one elimination of a (dim w) x (dim v) block.
-    coefficients = kernel(w.basis @ v.basis.transpose())
-    complement = Subspace.spanned(coefficients.basis @ v.basis)
+    # v = im V^T meets the orthogonal complement of w in V^T ker(W V^T).
+    complement = image_meet_kernel(v.basis.transpose(), w.basis)
     if complement.dim or w.dim:
         mt = QMatrix.stacked([complement.basis, w.basis])
         split = inverse(mt @ mt.transpose())

@@ -6,12 +6,12 @@ subspaces, and the explicit Lefschetz decomposition with its closed-form
 coefficients.
 
 Every operator has one exact representation: a `GradedOperator` of
-blocks.  L and Lambda are materialized once from their defining actions
-on monomials (wedge with omega, minus contraction with the Poisson
-bivector); H is (n - k) I, d^Lambda is the block commutator
-d_{k-2} Lambda_k - Lambda_{k+1} d_k, and every Form-level operator other
-than L and Lambda applies those blocks.  Each identity is checked as a
-block equation, one per degree.
+blocks.  L and Lambda are built once from integer index tables (wedge
+with omega over the lcm of its denominators, minus contraction with the
+Poisson bivector over the lcm of the pairing's); H is (n - k) I,
+d^Lambda is the block commutator d_{k-2} Lambda_k - Lambda_{k+1} d_k, and
+every Form-level operator applies those blocks.  Each identity is
+checked as a block equation, one per degree.
 
 Sign conventions are pinned operationally: construction asserts
 Lambda(omega) = n and Lambda_{k+2} L_k - L_{k-2} Lambda_k = H_k in every
@@ -28,7 +28,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Mapping
 
 from .errors import (
@@ -42,14 +42,23 @@ from .exterior import (
     Form,
     GradedOperator,
     basis_position,
-    contract,
     merge_with_sign,
     monomial_basis,
     nonzero_columns,
     top_coefficient,
 )
 from .lie import LieAlgebra
-from .linalg import IntRow, QMatrix, SparseRow, Subspace, inverse, kernel, solve
+from .linalg import (
+    IntRow,
+    QMatrix,
+    SparseRow,
+    Subspace,
+    _int_row,
+    _over_lcm,
+    inverse,
+    kernel,
+    solve,
+)
 
 __all__ = [
     "SymplecticStructure",
@@ -160,10 +169,9 @@ class SymplecticStructure:
         # Pairing of 1-forms: omega^{-1}(e^i, e^j) = (W^{-1})^T[i][j];
         # the Poisson bivector Pi has the same coefficient matrix.
         self.pairing = self.Winv.transpose()
-        self.pi = Bivector.from_matrix(self.pairing)
 
-        self.L_op = GradedOperator.materialize(self.dim, +2, self.L)
-        self.Lambda_op = GradedOperator.materialize(self.dim, -2, self.lam)
+        self.L_op = _wedge_operator(omega)
+        self.Lambda_op = _contraction_operator(self.pairing)
         degrees = range(self.dim + 1)
         weights = {k: QMatrix.identity(comb(self.dim, k)).scaled(self.n - k) for k in degrees}
         self.H_op = GradedOperator(self.dim, 0, weights)
@@ -177,15 +185,20 @@ class SymplecticStructure:
 
         self._validate_sl2()
 
+    @cached_property
+    def pi(self) -> Bivector:
+        """The Poisson bivector, whose contraction is -Lambda."""
+        return Bivector.from_matrix(self.pairing)
+
     # -- the sl(2;R) triple and differentials --------------------------------
 
     def L(self, form: Form) -> Form:
         """Wedge with omega (degree +2)."""
-        return self.omega.wedge(form)
+        return self.L_op.apply(form)
 
     def lam(self, form: Form) -> Form:
         """Dual Lefschetz operator: minus contraction with the Poisson bivector."""
-        return -contract(self.pi, form)
+        return self.Lambda_op.apply(form)
 
     def h(self, form: Form) -> Form:
         """Weight operator: multiplication by (n - k) on degree k."""
@@ -282,9 +295,7 @@ class SymplecticStructure:
         Compounds are built degree by degree from the previous one, which
         is kept for the next call.
         """
-        rows = self.pairing.int_rows
-        den = lcm(*[d for _, d in rows])
-        top = [{c: x * (den // d) for c, x in nums.items()} for nums, d in rows]
+        top, den = _over_lcm(self.pairing.int_rows)
         done, minors = self._minors or (0, [{0: 1}])
         if done > k:
             done, minors = 0, [{0: 1}]
@@ -487,6 +498,40 @@ def _next_compound(
                     acc[b] = acc.get(b, 0) + sign * x * minor
         out.append({b: v for b, v in acc.items() if v})
     return out
+
+
+def _wedge_operator(omega: Form) -> GradedOperator:
+    """L = omega ^ (-), from omega's integer coefficients over their lcm."""
+    nums, den = _int_row(omega.coeffs)
+    terms = list(nums.items())
+
+    def rule(key):
+        for pair, c in terms:
+            sign, merged = merge_with_sign(pair, key)
+            if sign:
+                yield merged, sign * c
+
+    return GradedOperator.from_rule(omega.dim, +2, rule, den)
+
+
+def _contraction_operator(pairing: QMatrix) -> GradedOperator:
+    """Lambda = -iota_Pi, Pi the bivector with coefficient matrix *pairing*.
+
+    iota_{e_i ^ e_j} = iota_i iota_j removes e^j at place q of e^key and
+    then e^i at place p < q, with sign (-1)^(p + q); the entries of the
+    pairing come over the lcm of its row denominators.
+    """
+    rows, den = _over_lcm(pairing.int_rows)
+    upper = {(i + 1, j + 1): x for i, nums in enumerate(rows) for j, x in nums.items() if i < j}
+
+    def rule(key):
+        for q in range(1, len(key)):
+            for p in range(q):
+                c = upper.get((key[p], key[q]))
+                if c:
+                    yield key[:p] + key[p + 1 : q] + key[q + 1 :], c if (p + q) % 2 else -c
+
+    return GradedOperator.from_rule(pairing.nrows, -2, rule, den)
 
 
 def _r_range(k: int, n: int) -> range:

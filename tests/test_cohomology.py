@@ -16,6 +16,7 @@ from sympcoh import (
     corpus_model,
     corpus_names,
     de_rham_cohomology,
+    image,
     kernel,
     load_model,
     parse_form,
@@ -23,10 +24,12 @@ from sympcoh import (
     render_form,
     rref,
     run_compute,
+    structure_from_model,
     subspace_intersect,
     validate_symplectic,
 )
 from sympcoh.exterior import GradedOperator
+from sympcoh.linalg import image_meet_kernel
 from sympcoh.verify import random_form, random_symplectic_structure
 
 
@@ -338,3 +341,54 @@ def test_quotient_complement_is_the_zassenhaus_intersection(name):
     for space in de_rham_cohomology(g):
         w, v = space.denominator, space.numerator
         assert space.quotient.complement == subspace_intersect(v, kernel(w.basis))
+
+
+@pytest.mark.parametrize("name", [*corpus_names(), "nil8"])
+def test_composed_intersections_are_the_zassenhaus_intersections(name):
+    """L^r P meet ker d and im dd^Lambda meet ker Lambda, as kernels of products."""
+    model = load_model(NIL8) if name == "nil8" else corpus_model(name)
+    engine = SymplecticCohomology(structure_from_model(model))
+    s = engine.s
+    for degree in range(s.dim + 1):
+        for r in range(degree // 2 + 1):
+            lifted = s.L_power_block(r, degree - 2 * r) @ s.primitive_subspace(
+                degree - 2 * r
+            ).basis.transpose()
+            closed = kernel(s.d_block(degree))
+            zassenhaus = subspace_intersect(image(lifted), closed)
+            assert image_meet_kernel(lifted, s.d_block(degree)) == zassenhaus
+            space = engine.de_rham[degree]
+            classes = Subspace.from_vectors(
+                space.dim, [space.class_of(row) for row in zassenhaus.basis.rows]
+            )
+            assert engine.hrs_group(r, degree - 2 * r).classes == classes
+        ddl, lam = s.dd_lambda_block(degree), s.lambda_block(degree)
+        zassenhaus = subspace_intersect(image(ddl), s.primitive_subspace(degree))
+        assert image_meet_kernel(ddl, lam) == zassenhaus
+
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+EXAMPLE1_BETTI = [1, 3, 4, 4, 4, 3, 1]
+# example1 plus six abelian directions: nil10 plus two.
+EXAMPLE1_PLUS_R6 = "0,0,0,[1,2],[1,4]-[2,3],[1,5]+[3,4],0,0,0,0,0,0"
+
+
+@pytest.mark.parametrize("name, m", [("nil8", 2), ("derham10", 4), ("example1+R6", 6)])
+def test_kunneth_betti_numbers_of_abelian_extensions(name, m):
+    """H(g + R^m) = H(g) (x) Lambda(R^m) (Kunneth), for g = example1."""
+    if name == "example1+R6":
+        structure = parse_structure_equations(EXAMPLE1_PLUS_R6)
+    else:
+        model = load_model(NIL8.with_name(f"{name}.model"))
+        structure = parse_structure_equations(model.structure, model.dim)
+    betti = [space.dim for space in de_rham_cohomology(build_lie_algebra(structure))]
+    assert betti == _convolve(EXAMPLE1_BETTI, [comb(m, j) for j in range(m + 1)])
+    if m == 6:
+        assert betti[:7] == [1, 9, 37, 93, 163, 218, 238]

@@ -11,7 +11,16 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from sympcoh import QMatrix, inverse, kernel, rref, solve
+from sympcoh import (
+    QMatrix,
+    Subspace,
+    inverse,
+    kernel,
+    quotient_structure,
+    rref,
+    solve,
+    subspace_sum,
+)
 
 examples = settings(deadline=None, max_examples=60)
 
@@ -117,7 +126,63 @@ def test_fraction_built_and_integer_built_are_equal(m):
     assert doubled == fresh and hash(doubled) == hash(fresh)
 
 
+@st.composite
+def matrix_and_vectors(draw):
+    """A matrix and vectors of its width, from all zeros to fully dense."""
+    m = draw(wide_matrices())
+    entries = st.one_of(st.just(Fraction(0)), wide_entries)
+    vector = st.lists(entries, min_size=m.ncols, max_size=m.ncols)
+    return m, draw(st.lists(vector, min_size=1, max_size=3))
+
+
+def sparse(vec):
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+@examples
+@given(matrix_and_vectors())
+def test_vector_kernels_match_fractions(mv):
+    """apply_sparse, reduce_sparse, containment and class coordinates."""
+    m, vectors = mv
+    v = Subspace.spanned(m)
+    for vec in vectors:
+        product = [sum((x * y for x, y in zip(row, vec)), Fraction(0)) for row in m.rows]
+        assert m.apply_sparse(sparse(vec)) == sparse(product)
+        # The remainder after clearing each pivot with its RREF row.
+        rest = list(vec)
+        for p, row in zip(v.pivots, v.basis.rows):
+            rest = [r - vec[p] * x for r, x in zip(rest, row)]
+        assert v.reduce_sparse(sparse(vec)) == sparse(rest)
+        one = Subspace.from_vectors(m.ncols, [vec])
+        assert v.contains_subspace(one) == (subspace_sum(v, one).dim == v.dim)
+    w = Subspace.from_vectors(m.ncols, vectors)
+    assert v.contains_subspace(w) == (subspace_sum(v, w).dim == v.dim)
+    # Class coordinates of x in v / u, u spanned by v's first basis row:
+    # x minus the combination of representatives lies in u.
+    u = Subspace.spanned(QMatrix(v.basis.rows[:1], m.ncols))
+    quotient = quotient_structure(u, v)
+    x = [sum(c * row[j] for c, row in zip(vectors[0], v.basis.rows)) for j in range(m.ncols)]
+    coords = quotient.sparse_coordinates(sparse(x))
+    for c, rep in zip(coords, quotient.representatives):
+        x = [a - c * b for a, b in zip(x, rep)]
+    assert subspace_sum(u, Subspace.from_vectors(m.ncols, [x])).dim == u.dim
+
+
 def test_integer_rows_of_a_fraction_matrix():
     m = QMatrix([[Fraction(1, 2), Fraction(-1, 3), 0], [0, 0, 0], [4, 0, 6]])
     assert m.int_rows == (({0: 3, 1: -2}, 6), ({}, 1), ({0: 4, 2: 6}, 1))
     assert (m @ QMatrix.identity(3)).sparse_rows == m.sparse_rows
+
+
+
+def test_vector_kernels_over_rows_with_different_denominators():
+    # RREF rows e0 + e2/2 and e1 + e2/3, held over the denominators 2 and 3.
+    v = Subspace.from_vectors(3, [[1, 0, Fraction(1, 2)], [0, 1, Fraction(1, 3)]])
+    assert v.basis.int_rows == (({0: 2, 2: 1}, 2), ({1: 3, 2: 1}, 3))
+    ones = {0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}
+    assert v.reduce_sparse(ones) == {2: Fraction(1, 6)}
+    inside = {0: Fraction(2), 1: Fraction(-3)}  # 2 (e0 + e2/2) - 3 (e1 + e2/3)
+    assert v.reduce_sparse(inside) == {}
+    assert v.contains_subspace(Subspace.from_vectors(3, [[2, -3, 0]]))
+    assert not v.contains_subspace(Subspace.from_vectors(3, [[1, 1, 1]]))
+    assert v.basis.apply_sparse({2: Fraction(6, 5)}) == {0: Fraction(3, 5), 1: Fraction(2, 5)}

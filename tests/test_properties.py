@@ -136,6 +136,27 @@ class TestParserRoundTrip:
             return
         assert parse_form(rendered, 6) == form
 
+    @given(st.data())
+    @pytest.mark.parametrize("dim", [10, 12])
+    def test_render_parse_with_bracket_indices(self, dim, data):
+        form = data.draw(wide_forms(dim))
+        rendered = render_form(form, prefix="")
+        assert parse_form(rendered, dim, degree=form.degree) == form
+
+
+@st.composite
+def wide_forms(draw, dim):
+    """Forms of degree 1..dim over any monomials of a dimension above 9."""
+    degree = draw(st.integers(min_value=1, max_value=dim))
+    keys = draw(
+        st.lists(
+            st.sets(st.integers(min_value=1, max_value=dim), min_size=degree, max_size=degree),
+            max_size=4,
+        )
+    )
+    coeffs = draw(st.lists(small_fractions, min_size=len(keys), max_size=len(keys)))
+    return Form(dim, degree, {tuple(sorted(key)): c for key, c in zip(keys, coeffs)})
+
 
 class TestConventionGuards:
     def test_flipped_contraction_sign_fails_loudly(self):
