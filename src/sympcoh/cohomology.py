@@ -11,6 +11,15 @@ basis of the orthogonal complement of the exact forms inside the closed
 forms, with respect to the standard inner product on coefficient
 vectors (the one induced by declaring the coframe orthonormal).
 
+Maps into cohomology work on whole blocks: the class coordinates of
+every row of a block come from one `QuotientSpace.class_matrix` product
+(the H^(r,s) classes, the maps induced by L^r, the comparison of
+H_(d+d^Lambda) with H_dR), and the H^(r,s) representatives are the
+product of the class basis with the representative basis.  Kernels and
+images that two cohomologies share are computed once per engine:
+ker [d; d^Lambda; Lambda] for both primitive cohomologies, im d^Lambda
+for the d^Lambda and d d^Lambda cohomologies, and im d from de Rham.
+
 Checks backed by theorems (the degree-2 decomposition, the vanishing of
 H^(k,0) meet H^(0,2k), H^(r,s) = L^r H^(0,s) in low total degree, the
 HLC / dd^Lambda-lemma equivalence) run in assert mode: a failure raises
@@ -148,6 +157,8 @@ class SymplecticCohomology:
         self._hrs: dict[tuple[int, int], HrsGroup] = {}
         self._l_matrices: dict[tuple[int, int], QMatrix] = {}
         self._ph_plus: dict[int, PrimitiveCohomology] = {}
+        self._primitive_closed: dict[int, Subspace] = {}
+        self._dlambda_images: dict[int, Subspace] = {}
         self._decompositions: dict[int, DecompositionVerdict] = {}
         self._hlc: HlcResult | None = None
         self._dd_lemma: tuple[bool, ...] | None = None
@@ -166,12 +177,19 @@ class SymplecticCohomology:
     def betti(self) -> tuple[int, ...]:
         return tuple(space.dim for space in self.de_rham)
 
+    def _dlambda_image(self, k: int) -> Subspace:
+        """im d^Lambda_k, shared by the d^Lambda and d d^Lambda cohomologies."""
+        space = self._dlambda_images.get(k)
+        if space is None:
+            space = self._dlambda_images[k] = image(self.s.d_lambda_block(k))
+        return space
+
     @cached_property
     def dlambda_dims(self) -> tuple[int, ...]:
         dims = []
         for k in range(self.s.dim + 1):
             closed = kernel(self.s.d_lambda_block(k))
-            exact = image(self.s.d_lambda_block(k + 1))
+            exact = self._dlambda_image(k + 1)
             if not closed.contains_subspace(exact):
                 raise InternalInconsistencyError(f"(d^Lambda)^2 != 0 reaching degree {k}")
             dims.append(closed.dim - exact.dim)
@@ -193,9 +211,7 @@ class SymplecticCohomology:
         dims = []
         for k in range(self.s.dim + 1):
             numerator = kernel(self.s.dd_lambda_block(k))
-            denominator = subspace_sum(
-                image(self.s.d_block(k - 1)), image(self.s.d_lambda_block(k + 1))
-            )
+            denominator = subspace_sum(self.de_rham[k].denominator, self._dlambda_image(k + 1))
             if not numerator.contains_subspace(denominator):
                 raise InternalInconsistencyError(
                     f"im d + im d^Lambda escapes ker(d d^Lambda) in degree {k}"
@@ -220,14 +236,12 @@ class SymplecticCohomology:
         s = self.s
         prim = s.primitive_subspace(sdeg)
         d, lam, ddl = s.d_block(sdeg), s.lambda_block(sdeg), s.dd_lambda_block(sdeg)
-        num_a = kernel(QMatrix.stacked([d, s.d_lambda_block(sdeg), lam]))
+        num_a = self._closed_primitive(sdeg)
         den_a = image_meet_kernel(ddl, lam)  # im d d^Lambda meet P
         space = CohomologySpace(s.dim, sdeg, num_a, den_a)
 
         num_b = kernel(QMatrix.stacked([d, lam]))
-        den_b = Subspace.from_sparse(
-            ddl.nrows, [ddl.apply_sparse(row) for row in prim.basis.sparse_rows]
-        )
+        den_b = Subspace.spanned(prim.basis @ ddl.transpose())  # d d^Lambda(P)
         dim_b = num_b.dim - den_b.dim
         if space.dim != dim_b:
             raise InternalInconsistencyError(
@@ -238,6 +252,15 @@ class SymplecticCohomology:
         self._ph_plus[sdeg] = result
         return result
 
+    def _closed_primitive(self, sdeg: int) -> Subspace:
+        """ker [d; d^Lambda; Lambda] in degree sdeg, shared by both primitive cohomologies."""
+        space = self._primitive_closed.get(sdeg)
+        if space is None:
+            s = self.s
+            blocks = [s.d_block(sdeg), s.d_lambda_block(sdeg), s.lambda_block(sdeg)]
+            space = self._primitive_closed[sdeg] = kernel(QMatrix.stacked(blocks))
+        return space
+
     def primitive_ph_d(self, sdeg: int) -> int:
         """dim of the primitive d-cohomology in degree sdeg.
 
@@ -247,19 +270,14 @@ class SymplecticCohomology:
         # The primitive subspaces are not needed here, but building them
         # runs the ker Lambda = ker L^{n-k+1} cross-check on both degrees.
         s.primitive_subspace(sdeg)
-        numerator = kernel(
-            QMatrix.stacked([s.d_block(sdeg), s.d_lambda_block(sdeg), s.lambda_block(sdeg)])
-        )
+        numerator = self._closed_primitive(sdeg)
         if sdeg == 0:
             return numerator.dim
         s.primitive_subspace(sdeg - 1)
         source = kernel(
             QMatrix.stacked([s.lambda_block(sdeg - 1), s.d_lambda_block(sdeg - 1)])
         )
-        dblock = s.d_block(sdeg - 1)
-        denominator = Subspace.from_sparse(
-            dblock.nrows, [dblock.apply_sparse(row) for row in source.basis.sparse_rows]
-        )
+        denominator = Subspace.spanned(source.basis @ s.d_block(sdeg - 1).transpose())
         if not numerator.contains_subspace(denominator):
             raise InternalInconsistencyError(
                 f"primitive d-cohomology denominator escapes the numerator in degree {sdeg}"
@@ -282,12 +300,10 @@ class SymplecticCohomology:
         # L^r P^s meet ker d, with L^r P^s the image of M = L^r_s P^T.
         lifted = self.s.L_power_block(r, s) @ prim.basis.transpose()
         closed_part = image_meet_kernel(lifted, self.s.d_block(degree))
-        class_vectors = [
-            space.quotient.sparse_coordinates(row) for row in closed_part.basis.sparse_rows
-        ]
-        classes = Subspace.from_vectors(space.dim, class_vectors)
+        classes = Subspace.spanned(space.quotient.class_matrix(closed_part.basis).transpose())
         representatives = tuple(
-            space.representative_of(coords) for coords in classes.basis.rows
+            Form.from_sparse(self.s.dim, degree, row)
+            for row in (classes.basis @ space.quotient.complement.basis).sparse_rows
         )
         group = HrsGroup(r, s, degree, classes.dim, classes, representatives)
         self._hrs[(r, s)] = group
@@ -359,9 +375,7 @@ class SymplecticCohomology:
         results = []
         for k in range(self.s.dim + 1):
             space = self.d_plus_dlambda[k]
-            target = self.de_rham[k]
-            columns = [target.class_of(rep) for rep in space.representatives]
-            matrix = QMatrix.from_columns(columns, nrows=target.dim)
+            matrix = self.de_rham[k].quotient.class_matrix(space.quotient.complement.basis)
             _, _, rank = rref(matrix)
             results.append(rank == space.dim)
         self._dd_lemma = tuple(results)
@@ -504,8 +518,6 @@ def _induced_l_power(
 ) -> QMatrix:
     """Matrix of L^power from *source* to *target* in class coordinates."""
     lift = s.L_power_block(power, source.degree)
-    images = lift @ source.quotient.complement.basis.transpose()
-    return QMatrix.from_columns(
-        [target.quotient.sparse_coordinates(col) for col in images.transpose().sparse_rows],
-        nrows=target.dim,
-    )
+    # Row i: L^power of representative i.
+    images = source.quotient.complement.basis @ lift.transpose()
+    return target.quotient.class_matrix(images)

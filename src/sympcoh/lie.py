@@ -24,7 +24,7 @@ from functools import cached_property
 
 from .errors import JacobiViolation
 from .exterior import Form, GradedOperator, merge_with_sign, nonzero_columns
-from .linalg import QMatrix, Subspace, Vector, _int_row, _over_lcm, as_vector
+from .linalg import QMatrix, Subspace, Vector, _int_row, _over_lcm, as_vector, combination
 from .parsing import StructureEquations
 
 __all__ = [
@@ -68,10 +68,9 @@ class LieAlgebra:
 
     def _verify_d_squared(self) -> None:
         for k in range(self.dim + 1):
-            dd = self.d_block(k + 1) @ self.d_block(k)
-            bad = nonzero_columns(dd, self.dim, k, k + 2)
-            if bad:
-                key, image = bad[0]
+            dd = combination([(1, self.d_block(k + 1), self.d_block(k))])
+            if not dd.is_zero():
+                key, image = nonzero_columns(dd, self.dim, k, k + 2)[0]
                 monomial = Form.monomial(self.dim, key)
                 raise JacobiViolation(k, key, f"d(d({monomial})) = {image}")
 

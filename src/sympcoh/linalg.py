@@ -20,6 +20,13 @@ its view and converts on first kernel use.  `apply_sparse`,
 Fraction vector is brought over one denominator once, and Fractions are
 built only for the values returned.
 
+Whole blocks go through one integer product each.  `combination` sums
+c * (A @ B) and c * A terms row by row over the lcm of the terms'
+denominators, so a block equation such as d L - L d = 0 builds no
+intermediate matrix; `@`, `+` and `-` are its one- and two-term cases.
+`QuotientSpace.class_matrix` takes the class coordinates of every row of
+a block as one product with the solver.
+
 Subspaces are stored by their unique RREF basis, so subspace equality
 is literal equality of matrices.  All values are immutable after
 construction and all functions are pure; nothing here keeps shared
@@ -51,6 +58,7 @@ __all__ = [
     "QMatrix",
     "Subspace",
     "QuotientSpace",
+    "combination",
     "rref",
     "kernel",
     "image",
@@ -280,23 +288,7 @@ class QMatrix:
     # -- arithmetic ----------------------------------------------------
 
     def __matmul__(self, other: QMatrix) -> QMatrix:
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        orows = other.int_rows
-        # Bring every row of *other* over one denominator, once.
-        oden = lcm(*[d for _, d in orows])
-        scale = [oden // d for _, d in orows]
-        out = []
-        for anums, aden in self.int_rows:
-            acc: dict[int, int] = {}
-            for k, x in anums.items():
-                bnums = orows[k][0]
-                if bnums:
-                    f = x * scale[k]
-                    for c, y in bnums.items():
-                        acc[c] = acc.get(c, 0) + f * y
-            out.append(({c: v for c, v in acc.items() if v}, aden * oden))
-        return QMatrix.from_ints(out, other.ncols)
+        return combination([(1, self, other)])
 
     def apply_sparse(self, vec: Mapping[int, Fraction]) -> SparseRow:
         """Matrix times a column vector given by its nonzero entries."""
@@ -330,25 +322,11 @@ class QMatrix:
         out = self.apply_sparse(_nonzero(v))
         return tuple(out.get(i, _ZERO) for i in range(self.nrows))
 
-    def _combine(self, other: QMatrix, sign: int, op: str) -> QMatrix:
-        """self + sign * other, row by row over the lcm of the two denominators."""
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} {op} {other.shape}")
-        out = []
-        for (na, da), (nb, db) in zip(self.int_rows, other.int_rows):
-            den = lcm(da, db)
-            fa, fb = den // da, sign * (den // db)
-            acc = {c: x * fa for c, x in na.items()}
-            for c, y in nb.items():
-                acc[c] = acc.get(c, 0) + fb * y
-            out.append(({c: v for c, v in acc.items() if v}, den))
-        return QMatrix.from_ints(out, self.ncols)
-
     def __add__(self, other: QMatrix) -> QMatrix:
-        return self._combine(other, 1, "+")
+        return combination([(1, self), (1, other)])
 
     def __sub__(self, other: QMatrix) -> QMatrix:
-        return self._combine(other, -1, "-")
+        return combination([(1, self), (-1, other)])
 
     def __neg__(self) -> QMatrix:
         return QMatrix._wrap(
@@ -378,6 +356,68 @@ class QMatrix:
 
     def __repr__(self) -> str:
         return f"QMatrix({[list(map(str, row)) for row in self.rows]})"
+
+
+def combination(terms: Iterable[tuple]) -> QMatrix:
+    """The sum of c * (A @ B) over terms (c, A, B), or of c * A over terms (c, A).
+
+    One integer product over whole blocks: each output row is
+    accumulated once, over the lcm of its terms' row denominators, and
+    canonicalized once, so no intermediate product or difference is
+    built.  Every term must give the same shape, and A.ncols must equal
+    B.nrows; a mismatch raises ValueError, as `@` and `+` do.
+    """
+    prepared = []
+    shape = None
+    for term in terms:
+        coeff, a, *rest = term
+        if rest:
+            (b,) = rest
+            if a.ncols != b.nrows:
+                raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+            brows = b.int_rows
+            # Every row of B over one denominator, once per term.
+            bden = lcm(*[d for _, d in brows])
+            scale = [bden // d for _, d in brows]
+            term_shape = (a.nrows, b.ncols)
+        else:
+            brows, bden, scale = None, 1, None
+            term_shape = a.shape
+        if shape is None:
+            shape = term_shape
+        elif term_shape != shape:
+            raise ValueError(f"shape mismatch {shape} + {term_shape}")
+        f = _exact(coeff)
+        if f:
+            prepared.append((f.numerator, f.denominator * bden, a.int_rows, brows, scale))
+    if shape is None:
+        raise ValueError("combination of no terms")
+    out: list[IntRow] = []
+    for i in range(shape[0]):
+        # Term t contributes p_t nums / (q_t aden), q_t including B's denominator.
+        den = 1
+        for _, q, arows, _, _ in prepared:
+            anums, aden = arows[i]
+            if anums:
+                den = lcm(den, q * aden)
+        acc: dict[int, int] = {}
+        for p, q, arows, brows, scale in prepared:
+            anums, aden = arows[i]
+            if not anums:
+                continue
+            f = p * (den // (q * aden))
+            if brows is None:
+                for c, x in anums.items():
+                    acc[c] = acc.get(c, 0) + f * x
+                continue
+            for k, x in anums.items():
+                bnums = brows[k][0]
+                if bnums:
+                    g = f * x * scale[k]
+                    for c, y in bnums.items():
+                        acc[c] = acc.get(c, 0) + g * y
+        out.append(({c: v for c, v in acc.items() if v}, den))
+    return QMatrix.from_ints(out, shape[1])
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
@@ -684,7 +724,8 @@ class QuotientSpace:
     orthogonal complement of w under the standard dot product on
     coefficient vectors; `coordinates` writes any x in v as
     (representative part, w part) and returns the representative
-    coordinates, which vanish exactly when x lies in w.
+    coordinates, which vanish exactly when x lies in w.  `class_matrix`
+    does the same for every row of a block at once.
     """
 
     total: Subspace
@@ -718,19 +759,46 @@ class QuotientSpace:
         out = self._solver._apply_int(nums, den)
         return tuple(out.get(i, _ZERO) for i in range(self.dim))
 
+    def class_matrix(self, vectors: QMatrix) -> QMatrix:
+        """Coordinates of every row of *vectors*, as the columns of one product.
+
+        Column j holds `sparse_coordinates` of row j: the matrix is
+        solver @ vectors^T.  Each row is first checked to lie in the
+        total space, on its integer form; a row outside it raises
+        NotInSubspace.
+        """
+        if vectors.ncols != self.total.ambient_dim:
+            raise AmbientMismatch(
+                f"vectors of length {vectors.ncols} != ambient {self.total.ambient_dim}"
+            )
+        if not all(self.total._reduces_to_zero(nums) for nums, _ in vectors.int_rows):
+            raise NotInSubspace("vector is not in the total space of the quotient")
+        if self._solver is None:
+            return QMatrix.zeros(0, vectors.nrows)
+        return self._solver @ vectors.transpose()
+
 
 def quotient_structure(w: Subspace, v: Subspace) -> QuotientSpace:
-    """Quotient structure for v / w (requires w <= v)."""
+    """Quotient structure for v / w (requires w <= v).
+
+    The representatives C span v meet the orthogonal complement of w,
+    taken as span(ker(W V^T) V) for the basis rows V of v and W of w
+    (C = V when w = 0).
+    Every row of C is orthogonal to every row of W, so the Gram matrix
+    of [C; W] is block diagonal, and the rows of its inverse that write
+    x = C^T a + W^T b as a are those of (C C^T)^{-1}: the solver is
+    (C C^T)^{-1} C, and only the c x c Gram block is inverted.
+    """
     _check_ambient(w, v)
     if not v.contains_subspace(w):
         raise NotSubspace("the denominator is not contained in the numerator")
-    # v = im V^T meets the orthogonal complement of w in V^T ker(W V^T).
-    complement = image_meet_kernel(v.basis.transpose(), w.basis)
-    if complement.dim or w.dim:
-        mt = QMatrix.stacked([complement.basis, w.basis])
-        split = inverse(mt @ mt.transpose())
-        # Only the representative rows of the split are ever read.
-        solver = QMatrix._wrap(split.int_rows[: complement.dim], split.ncols) @ mt
+    if w.dim:
+        complement = Subspace.spanned(kernel(w.basis @ v.basis.transpose()).basis @ v.basis)
+    else:
+        complement = v  # every vector is orthogonal to the zero space
+    if complement.dim:
+        c = complement.basis
+        solver = inverse(c @ c.transpose()) @ c
     else:
         solver = None
     return QuotientSpace(v, w, complement, solver)

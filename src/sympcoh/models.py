@@ -13,7 +13,8 @@ A model file is a flat `key = value` text format:
 `structure` uses the structure-equation grammar, `omega` and `form.*`
 the form-sum grammar.  `flag` lines may repeat; `dim` and `omega` are
 optional (dimension is inferred from the structure entry count, and a
-model without omega only gets Lie-algebra-level output).
+model without omega only gets Lie-algebra-level output).  A `dim` above
+`parsing.MAX_DIM` is rejected on its line.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, ModelFileError
+from .parsing import MAX_DIM
 
 __all__ = [
     "ModelFile",
@@ -86,6 +88,8 @@ def parse_model_text(text: str, default_name: str = "model") -> ModelFile:
                 raise ModelFileError(f"line {lineno}: dim must be an integer") from None
             if dim <= 0:
                 raise ModelFileError(f"line {lineno}: dim must be positive")
+            if dim > MAX_DIM:
+                raise ModelFileError(f"line {lineno}: dim {dim} exceeds MAX_DIM = {MAX_DIM}")
         elif key == "structure":
             structure = value
         elif key == "omega":

@@ -17,6 +17,15 @@ k-index monomial.  `0^j` expands to j zero entries.  Indices may come
 unsorted ("62" means -e^26) and a repeated index makes the term vanish.
 
 Every syntax error carries the 0-based position in the input text.
+
+Dimensions run from 2 to `MAX_DIM`.  The bound is checked on a `0^j`
+count before it is expanded, on the inferred or given dimension of a
+structure, and on the dimension `parse_form` is asked for, so oversized
+text fails with a ParseError before any monomial basis is built.
+
+`parse_form(text, dim, degree=0)` reads a constant instead: an optional
+sign and a rational (`5`, `-3/7`), which is how `render_form` writes a
+nonzero degree-0 form.
 """
 
 from __future__ import annotations
@@ -28,11 +37,41 @@ from .errors import EntryCountMismatch, IndexOutOfRange, ParseError
 from .exterior import Form, sort_with_sign
 
 __all__ = [
+    "MAX_DIM",
     "parse_structure_equations",
     "parse_form",
     "render_structure",
     "StructureEquations",
 ]
+
+
+MAX_DIM = 14
+"""Largest dimension accepted from text.
+
+The middle-degree blocks grow like C(dim, dim/2): the full report of
+nil14 (nil10 plus four abelian directions), the largest model measured,
+takes about 15 s and 100 MB on a 2-core x86-64 VM, and each further
+pair of dimensions multiplies the middle block sizes by about four.
+"""
+
+
+def _check_dim(dim: int) -> None:
+    if dim < 2:
+        raise ParseError(f"dimension {dim} is below 2")
+    if dim > MAX_DIM:
+        raise ParseError(f"dimension {dim} exceeds MAX_DIM = {MAX_DIM}")
+
+
+def _is_digit(ch: str) -> bool:
+    """An ASCII digit; str.isdigit also accepts characters int() rejects ("²")."""
+    return "0" <= ch <= "9"
+
+
+def _to_int(text: str, position: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"number of {len(text)} digits is too long", position) from None
 
 
 @dataclass(frozen=True)
@@ -94,7 +133,7 @@ class _Scanner:
     def digits(self) -> str:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             shown = self.text[self.pos] if self.pos < len(self.text) else "end of input"
@@ -102,7 +141,9 @@ class _Scanner:
         return self.text[start : self.pos]
 
     def nat(self) -> int:
-        return int(self.digits())
+        self.skip_ws()
+        start = self.pos
+        return _to_int(self.digits(), start)
 
 
 def _parse_monomial(sc: _Scanner, arity: int | None) -> tuple[tuple[int, ...], int, bool]:
@@ -133,12 +174,12 @@ def _parse_term(sc: _Scanner, arity: int | None) -> _RawTerm:
     start = sc.pos
     coeff = Fraction(1)
     digit_run = False
-    if sc.peek().isdigit():
+    if _is_digit(sc.peek()):
         save = sc.pos
         run = sc.digits()
         nxt = sc.peek()
         if nxt == "/" or nxt == "*":
-            numerator = int(run)
+            numerator = _to_int(run, save)
             if nxt == "/":
                 sc.take()
                 dpos = sc.pos
@@ -201,6 +242,8 @@ def _terms_to_form(
             continue
         coeffs[key] = coeffs.get(key, Fraction(0)) + sign * term.coeff
     k = degree if degree is not None else (len(terms[0].indices) if terms else 0)
+    if k > dim:
+        raise ParseError(f"degree {k} exceeds dimension {dim}", terms[0].position)
     return Form(dim, k, coeffs)
 
 
@@ -220,13 +263,19 @@ def parse_structure_equations(text: str, dim: int | None = None) -> StructureEqu
 
     Entry k is the 2-form d e^{k+1}; when *dim* is omitted it is
     inferred from the entry count after `0^j` run-length expansion.
+    Either way it must lie in 2..MAX_DIM.
     """
+    if dim is not None:
+        _check_dim(dim)
     sc = _Scanner(text)
     wrapped = sc.peek() == "("
     if wrapped:
         sc.take()
     entries: list[list[_RawTerm] | int] = []
+    total = 0  # entries so far, counting each 0^j as j
     while True:
+        sc.skip_ws()
+        start = sc.pos
         if _is_zero_entry(sc):
             sc.expect("0")
             count = 1
@@ -234,8 +283,12 @@ def parse_structure_equations(text: str, dim: int | None = None) -> StructureEqu
                 sc.take()
                 count = sc.nat()
             entries.append(count)
+            total += count
         else:
             entries.append(_parse_sum(sc, arity=2))
+            total += 1
+        if total > MAX_DIM:
+            raise ParseError(f"more than MAX_DIM = {MAX_DIM} entries", start)
         if sc.peek() == ",":
             sc.take()
             continue
@@ -254,6 +307,7 @@ def parse_structure_equations(text: str, dim: int | None = None) -> StructureEqu
     count = len(expanded)
     if dim is None:
         dim = count
+        _check_dim(dim)
     elif count != dim:
         raise EntryCountMismatch(f"{count} entries for dimension {dim}")
 
@@ -272,8 +326,15 @@ def parse_form(text: str, dim: int, degree: int | None = None) -> Form:
 
     All monomials must share one degree; *degree*, when given, is
     enforced against it.  The bare text "0" parses to the zero form.
+    With degree=0 the text is a constant, ["-"] rational, such as "5"
+    or "-3/7".  *dim* must lie in 2..MAX_DIM.
     """
+    _check_dim(dim)
+    if degree is not None and not 0 <= degree <= dim:
+        raise ParseError(f"degree {degree} outside 0..{dim}")
     sc = _Scanner(text)
+    if degree == 0:
+        return Form(dim, 0, {(): _parse_constant(sc)})
     if _is_zero_entry(sc):
         sc.expect("0")
         if sc.peek() == "^":
@@ -295,6 +356,25 @@ def parse_form(text: str, dim: int, degree: int | None = None) -> Form:
     if degree is not None and found != degree:
         raise ParseError(f"form has degree {found}, expected {degree}", terms[0].position)
     return _terms_to_form(terms, dim, degree if degree is not None else found)
+
+
+def _parse_constant(sc: _Scanner) -> Fraction:
+    """["-"] nat ["/" nat], the whole remaining input."""
+    sign = 1
+    if sc.peek() == "-":
+        sc.take()
+        sign = -1
+    value = Fraction(sc.nat())
+    if sc.peek() == "/":
+        sc.take()
+        dpos = sc.pos
+        denominator = sc.nat()
+        if denominator == 0:
+            raise ParseError("zero denominator", dpos)
+        value /= denominator
+    if not sc.at_end():
+        raise ParseError("unexpected trailing input", sc.pos)
+    return sign * value
 
 
 def render_structure(eqs: StructureEquations) -> str:

@@ -11,7 +11,9 @@ with omega over the lcm of its denominators, minus contraction with the
 Poisson bivector over the lcm of the pairing's); H is (n - k) I,
 d^Lambda is the block commutator d_{k-2} Lambda_k - Lambda_{k+1} d_k, and
 every Form-level operator applies those blocks.  Each identity is
-checked as a block equation, one per degree.
+checked as a block equation, one per degree: its residual is one
+`linalg.combination` of the blocks, tested with `is_zero`, and only a
+failing residual is searched for the monomial that the error names.
 
 Sign conventions are pinned operationally: construction asserts
 Lambda(omega) = n and Lambda_{k+2} L_k - L_{k-2} Lambda_k = H_k in every
@@ -55,6 +57,7 @@ from .linalg import (
     Subspace,
     _int_row,
     _over_lcm,
+    combination,
     inverse,
     kernel,
     solve,
@@ -176,7 +179,9 @@ class SymplecticStructure:
         weights = {k: QMatrix.identity(comb(self.dim, k)).scaled(self.n - k) for k in degrees}
         self.H_op = GradedOperator(self.dim, 0, weights)
         d, lam = self.d_block, self.lambda_block
-        commutators = {k: d(k - 2) @ lam(k) - lam(k + 1) @ d(k) for k in degrees[1:]}
+        commutators = {
+            k: combination([(1, d(k - 2), lam(k)), (-1, lam(k + 1), d(k))]) for k in degrees[1:]
+        }
         self.dLambda_op = GradedOperator(self.dim, -1, commutators)
         self._dd_lambda_blocks: dict[int, QMatrix] = {}
         self._L_powers: dict[tuple[int, int], QMatrix] = {}
@@ -275,13 +280,15 @@ class SymplecticStructure:
             )
         L, lam = self.L_block, self.lambda_block
         for k in range(self.dim + 1):
-            commutator = lam(k + 2) @ L(k) - L(k - 2) @ lam(k)
-            self._require(commutator, self.h_block(k), k, k, "[Lambda, L] != H")
+            residual = combination(
+                [(1, lam(k + 2), L(k)), (-1, L(k - 2), lam(k)), (-1, self.h_block(k))]
+            )
+            self._require(residual, k, k, "[Lambda, L] != H")
 
-    def _require(self, lhs: QMatrix, rhs: QMatrix, k: int, target: int, what: str) -> None:
-        """Raise at the first failing monomial unless lhs = rhs on degree k."""
-        if lhs != rhs:
-            key, _ = nonzero_columns(lhs - rhs, self.dim, k, target)[0]
+    def _require(self, residual: QMatrix, k: int, target: int, what: str) -> None:
+        """Raise at the first failing monomial unless the degree-k residual is zero."""
+        if not residual.is_zero():
+            key, _ = nonzero_columns(residual, self.dim, k, target)[0]
             raise InternalInconsistencyError(f"{what} on degree {k} at e{key}")
 
     # -- symplectic star ------------------------------------------------------
@@ -351,16 +358,21 @@ class SymplecticStructure:
         """
         star, m = op.block, self.dim
         for k in range(m + 1):
-            involution = star(m - k) @ star(k)
-            self._require(involution, QMatrix.identity(comb(m, k)), k, k, "star star != id")
-            conjugate = star(m - k + 2) @ self.L_block(m - k) @ star(k)
-            self._require(conjugate, self.lambda_block(k), k, k - 2, "Lambda != star L star")
-            route = star(m - k + 1) @ self.d_block(m - k) @ star(k)
-            if k % 2:
-                route = -route
-            self._require(
-                route, self.d_lambda_block(k), k, k - 1, "star route to d^Lambda disagrees"
+            involution = combination(
+                [(1, star(m - k), star(k)), (-1, QMatrix.identity(comb(m, k)))]
             )
+            self._require(involution, k, k, "star star != id")
+            conjugate = combination(
+                [(1, star(m - k + 2) @ self.L_block(m - k), star(k)), (-1, self.lambda_block(k))]
+            )
+            self._require(conjugate, k, k - 2, "Lambda != star L star")
+            route = combination(
+                [
+                    (-1 if k % 2 else 1, star(m - k + 1) @ self.d_block(m - k), star(k)),
+                    (-1, self.d_lambda_block(k)),
+                ]
+            )
+            self._require(route, k, k - 1, "star route to d^Lambda disagrees")
 
     # -- primitive forms ------------------------------------------------------
 

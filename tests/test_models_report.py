@@ -233,6 +233,31 @@ def test_nil10_acceptance():
     assert _sha256(text) == NIL10_SHA256
 
 
+# nil10 plus two abelian directions, paired by omega.
+NIL12 = """name = nil12
+dim = 12
+structure = 0,0,0,[1,2],[1,4]-[2,3],[1,5]+[3,4],0,0,0,0,0,0
+omega = [1,6]+[3,5]+[2,4]+[7,8]+[9,10]+[11,12]
+"""
+NIL12_SHA256 = "daef6133bbc8275900a37ff4c3c33c96bed71f70f90ac3133a02d485dd6435b5"
+
+
+def test_nil12_acceptance():
+    """Dimension-12 nilpotent model: Kuenneth Betti numbers, verdicts and report bytes."""
+    text = run_compute(parse_model_text(NIL12)).to_json()
+    data = json.loads(text)
+    nil10 = [1, 7, 22, 42, 57, 62, 57, 42, 22, 7, 1]
+    # H(g + R^2) = H(g) (x) Lambda(R^2): nil10's row convolved with (1, 2, 1).
+    padded = [0, 0] + nil10 + [0, 0]
+    assert data["betti"] == [padded[k + 2] + 2 * padded[k + 1] + padded[k] for k in range(13)]
+    assert data["betti"] == [1, 9, 37, 93, 163, 218, 238, 218, 163, 93, 37, 9, 1]
+    assert data["hlc"]["overall"] is False
+    assert data["dd_lambda_lemma"] is False
+    full = [entry["degree"] for entry in data["decompositions"] if entry["full"]]
+    assert full == [0, 1, 2, 10, 11, 12]
+    assert _sha256(text) == NIL12_SHA256
+
+
 def test_run_compute_builds_the_algebra_once(monkeypatch):
     import sympcoh.report
 

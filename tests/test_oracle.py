@@ -6,6 +6,7 @@ matrices, checks the RREF, the pivots and everything built on them.
 """
 
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from sympcoh import (
     QMatrix,
     Subspace,
+    SymplecticCohomology,
     corpus,
     inverse,
     kernel,
@@ -147,3 +149,28 @@ def test_inverse_matches_sympy_wide_denominators(m):
             inverse(m)
     else:
         assert inverse(m) == from_sympy(oracle.inv())
+
+
+def domain_rank(m: QMatrix) -> int:
+    """Rank over QQ from sympy's sparse DomainMatrix."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    if not (m.nrows and m.ncols):
+        return 0
+    rows = {
+        i: {j: QQ(x.numerator, x.denominator) for j, x in row.items()}
+        for i, row in enumerate(m.sparse_rows)
+        if row
+    }
+    return DomainMatrix(rows, m.shape, QQ).rank()
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_betti_numbers_match_sympy_ranks(name):
+    """b_k = C(n, k) - rank d_k - rank d_{k-1}, with the ranks taken by sympy."""
+    engine = SymplecticCohomology(structure_from_model(MODELS[name]))
+    g = engine.s.g
+    ranks = {k: domain_rank(g.d_block(k)) for k in range(-1, g.dim + 1)}
+    want = tuple(comb(g.dim, k) - ranks[k] - ranks[k - 1] for k in range(g.dim + 1))
+    assert engine.betti == want
