@@ -74,15 +74,23 @@ def _resolve_model(spec: str):
 def _cmd_compute(args) -> int:
     model = _resolve_model(args.model)
     report = run_compute(model)
+    dim = report.data["model"]["dim"]
+    if args.degree is not None and not 0 <= args.degree <= dim:
+        raise InputError(f"--degree must lie in 0..{dim}, got {args.degree}")
     output = report.to_json(args.degree) if args.json else report.to_text(args.degree)
     if args.out is not None:
-        args.out.write_text(output)
+        try:
+            args.out.write_text(output)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(output)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    if args.count < 0:
+        raise InputError(f"--count must be non-negative, got {args.count}")
     dims = tuple(args.dims) if args.dims else (4, 6)
     for dim in dims:
         if dim % 2 or dim <= 0:

@@ -15,8 +15,13 @@ Maps into cohomology work on whole blocks: the class coordinates of
 every row of a block come from one `QuotientSpace.class_matrix` product
 (the H^(r,s) classes, the maps induced by L^r, the comparison of
 H_(d+d^Lambda) with H_dR), and the H^(r,s) representatives are the
-product of the class basis with the representative basis.  Kernels and
-images that two cohomologies share are computed once per engine:
+product of the class basis with the representative basis.  Sums,
+pushes and pairings of classes are block products too: the H^(r,s) of
+one degree are summed by one elimination of their stacked class bases,
+L^r H^(0,s) is the class basis times the induced matrix, and the cup
+pairing is V S W^T for the representative bases V, W and the signed
+permutation S of `exterior.wedge_pairing`.  Kernels and images that two
+cohomologies share are computed once per engine:
 ker [d; d^Lambda; Lambda] for both primitive cohomologies, im d^Lambda
 for the d^Lambda and d d^Lambda cohomologies, and im d from de Rham.
 
@@ -35,7 +40,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import AmbientMismatch, InternalInconsistencyError, NotUnimodular
-from .exterior import Form, top_coefficient
+from .exterior import Form, top_coefficient, wedge_pairing
 from .lie import AlgebraProperties, LieAlgebra, check_properties
 from .linalg import (
     QMatrix,
@@ -47,7 +52,6 @@ from .linalg import (
     kernel,
     quotient_structure,
     rref,
-    subspace_intersect,
     subspace_sum,
 )
 from .symplectic import SymplecticStructure
@@ -293,19 +297,21 @@ class SymplecticCohomology:
         degree = 2 * r + s
         if r < 0 or s < 0 or degree > self.s.dim or s > self.s.dim:
             group = HrsGroup(r, s, degree, 0, Subspace.zero(0), ())
-            self._hrs[(r, s)] = group
-            return group
-        space = self.de_rham[degree]
-        prim = self.s.primitive_subspace(s)
-        # L^r P^s meet ker d, with L^r P^s the image of M = L^r_s P^T.
-        lifted = self.s.L_power_block(r, s) @ prim.basis.transpose()
-        closed_part = image_meet_kernel(lifted, self.s.d_block(degree))
-        classes = Subspace.spanned(space.quotient.class_matrix(closed_part.basis).transpose())
-        representatives = tuple(
-            Form.from_sparse(self.s.dim, degree, row)
-            for row in (classes.basis @ space.quotient.complement.basis).sparse_rows
-        )
-        group = HrsGroup(r, s, degree, classes.dim, classes, representatives)
+        elif not self.s.primitive_subspace(s).dim or r + s > self.s.n:
+            # Zero by degree: L^r kills primitive s-forms once r + s > n.
+            group = HrsGroup(r, s, degree, 0, Subspace.zero(self.betti[degree]), ())
+        else:
+            space = self.de_rham[degree]
+            # L^r P^s meet ker d, with L^r P^s the image of M = L^r_s P^T.
+            prim = self.s.primitive_subspace(s)
+            lifted = self.s.L_power_block(r, s) @ prim.basis.transpose()
+            closed_part = image_meet_kernel(lifted, self.s.d_block(degree))
+            classes = Subspace.spanned(space.quotient.class_matrix(closed_part.basis).transpose())
+            representatives = tuple(
+                Form.from_sparse(self.s.dim, degree, row)
+                for row in (classes.basis @ space.quotient.complement.basis).sparse_rows
+            )
+            group = HrsGroup(r, s, degree, classes.dim, classes, representatives)
         self._hrs[(r, s)] = group
         return group
 
@@ -314,14 +320,9 @@ class SymplecticCohomology:
         cached = self._decompositions.get(degree)
         if cached is not None:
             return cached
-        summands = {}
-        total = Subspace.zero(self.betti[degree])
-        for r in range(degree // 2 + 1):
-            s = degree - 2 * r
-            group = self.hrs_group(r, s)
-            summands[(r, s)] = group.dim
-            total = subspace_sum(total, group.classes)
-        sum_dim = total.dim
+        groups = [self.hrs_group(r, degree - 2 * r) for r in range(degree // 2 + 1)]
+        summands = {(group.r, group.s): group.dim for group in groups}
+        sum_dim = Subspace.spanned(QMatrix.stacked([group.classes.basis for group in groups])).dim
         verdict = DecompositionVerdict(
             degree=degree,
             summand_dims=summands,
@@ -399,15 +400,12 @@ class SymplecticCohomology:
         return top_coefficient(rep_a.wedge(rep_b))
 
     def cup_matrix(self, k: int) -> QMatrix:
-        """Pairing matrix H^k x H^{2n-k} in representative bases."""
+        """Pairing matrix H^k x H^{2n-k} in representative bases: V S W^T."""
         if not self.properties.unimodular:
             raise NotUnimodular("cup pairing on classes needs a unimodular algebra")
-        low = self.de_rham[k].representatives
-        high = self.de_rham[self.s.dim - k].representatives
-        return QMatrix(
-            [[top_coefficient(a.wedge(b)) for b in high] for a in low],
-            len(high),
-        )
+        low = self.de_rham[k].quotient.complement.basis
+        high = self.de_rham[self.s.dim - k].quotient.complement.basis
+        return low @ wedge_pairing(self.s.dim, k) @ high.transpose()
 
     # -- theorem-backed consistency checks (assert mode) --------------------------
 
@@ -426,10 +424,11 @@ class SymplecticCohomology:
         for k in range(1, self.s.n // 2 + 1):
             a = self.hrs_group(k, 0)
             b = self.hrs_group(0, 2 * k)
-            meet = subspace_intersect(a.classes, b.classes)
-            if meet.dim != 0:
+            # dim(a meet b) = dim a + dim b - dim(a + b)
+            meet = a.dim + b.dim - subspace_sum(a.classes, b.classes).dim
+            if meet:
                 raise InternalInconsistencyError(
-                    f"H^({k},0) meet H^(0,{2 * k}) is {meet.dim}-dimensional"
+                    f"H^({k},0) meet H^(0,{2 * k}) is {meet}-dimensional"
                 )
             results[k] = True
         return results
@@ -446,10 +445,7 @@ class SymplecticCohomology:
                 base = self.hrs_group(0, s)
                 target = self.hrs_group(r, s)
                 matrix = self.l_cohomology_matrix(r, s)
-                pushed = Subspace.from_vectors(
-                    self.betti[s + 2 * r],
-                    [matrix.apply(vec) for vec in base.classes.basis.rows],
-                )
+                pushed = Subspace.spanned(base.classes.basis @ matrix.transpose())
                 if pushed != target.classes:
                     raise InternalInconsistencyError(
                         f"H^({r},{s}) != L^{r} H^(0,{s})"

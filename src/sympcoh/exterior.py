@@ -47,6 +47,7 @@ __all__ = [
     "interior",
     "contract",
     "top_coefficient",
+    "wedge_pairing",
     "Bivector",
     "GradedOperator",
     "operator_matrix",
@@ -301,6 +302,22 @@ def top_coefficient(a: Form) -> Fraction:
     if a.degree != a.dim and not a.is_zero():
         raise ValueError(f"top_coefficient needs degree {a.dim}, got {a.degree}")
     return a.coeffs.get(tuple(range(1, a.dim + 1)), _ZERO)
+
+
+def wedge_pairing(dim: int, k: int) -> QMatrix:
+    """The wedge pairing of degrees k and dim - k in the lex bases.
+
+    Entry (a, b) is top_coefficient(e^a ^ e^b): the sign of the merge
+    when b is the complement of a, and zero otherwise, so the matrix is
+    a signed permutation.
+    """
+    everything = range(1, dim + 1)
+    rows = []
+    for a in monomial_basis(dim, k):
+        complement = tuple(i for i in everything if i not in a)
+        sign, _ = merge_with_sign(a, complement)
+        rows.append(({basis_position(dim, complement): sign}, 1))
+    return QMatrix.from_ints(rows, comb(dim, dim - k))
 
 
 @dataclass(frozen=True)

@@ -6,38 +6,37 @@ orthogonal-complement representatives).  Every "space of forms" and
 every "ker/im" quotient in the rest of the package reduces to the
 operations in this module.
 
-A `QMatrix` row holds only its nonzero entries (operator blocks are
-under 1% nonzero at dimension 10), in canonical integer form
-``(numerators, den)``: a dict {column: nonzero int} over one
+A `QMatrix` holds one form of its entries: sparse integer rows
+``(numerators, den)``, each a dict {column: nonzero int} over one
 denominator, ``den > 0``, ``gcd(den, *numerators) == 1``, and ``({}, 1)``
-for the empty row.  Products, sums and eliminations do integer
-multiply-adds with one gcd per result row.  Fractions appear only at the
-boundary: `sparse_rows` ({column: Fraction}) and the dense `rows` are
-views built on first use; a matrix built from Fractions keeps them as
-its view and converts on first kernel use.  `apply_sparse`,
-`Subspace.reduce_sparse`, `Subspace.contains_subspace` and
-`QuotientSpace.sparse_coordinates` also run on the integer rows: a
-Fraction vector is brought over one denominator once, and Fractions are
-built only for the values returned.
+for the empty row (operator blocks are under 1% nonzero at dimension
+10).  `QMatrix(rows)`, `from_sparse` and `from_columns` convert their
+input once and keep none of the caller's rows; `from_ints` takes over
+integer rows as they are.  Fractions appear only as output: `sparse_rows` ({column:
+Fraction}) and the dense `rows` are read-only views built on first use,
+and vector results are built from integer rows.
 
-Whole blocks go through one integer product each.  `combination` sums
-c * (A @ B) and c * A terms row by row over the lcm of the terms'
-denominators, so a block equation such as d L - L d = 0 builds no
-intermediate matrix; `@`, `+` and `-` are its one- and two-term cases.
-`QuotientSpace.class_matrix` takes the class coordinates of every row of
-a block as one product with the solver.
+Each operation has one integer kernel.  `combination` sums c * (A @ B)
+and c * A terms row by row over the lcm of the terms' denominators, so a
+block equation such as d L - L d = 0 builds no intermediate matrix; `@`,
+`+` and `-` are its one- and two-term cases.  `rref` is the one
+elimination.  `QMatrix.apply_sparse` is the one matrix-vector product.
+`Subspace._remainder` is the one reduction against a basis, behind
+`reduce`, `contains`, `contains_subspace` and the membership check of
+`QuotientSpace.class_matrix`, which takes the class coordinates of every
+row of a block as one product with the solver; `coordinates` is its
+one-row case.
 
 Subspaces are stored by their unique RREF basis, so subspace equality
 is literal equality of matrices.  All values are immutable after
 construction and all functions are pure; nothing here keeps shared
 mutable state.
 
-Canonical entries: every Fraction entry is a nonzero plain `Fraction`
-(``type(x) is Fraction``), which CPython keeps in lowest terms with a
-positive denominator.  Such a value is stored as is; anything else
-(int, bool, str, a Fraction subclass) is converted once with
-``Fraction(x)``.  The rule lives in `_exact`, which the exterior module
-shares.
+Canonical entries: input values go through `_exact`, which the exterior
+module shares.  A plain `Fraction` (``type(x) is Fraction``) already is
+canonical, since CPython keeps it in lowest terms with a positive
+denominator; anything else (int, bool, str, a Fraction subclass) is
+converted once with ``Fraction(x)``.
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ def _sub_multiple(target: dict[int, int], f: int, source: dict[int, int]) -> Non
 class QMatrix:
     """Immutable sparse matrix over the rationals, held as integer rows."""
 
-    __slots__ = ("_ints", "_fractions", "nrows", "ncols", "_dense")
+    __slots__ = ("int_rows", "nrows", "ncols", "_sparse", "_dense")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
         frozen = [as_vector(row) for row in rows]
@@ -159,43 +158,32 @@ class QMatrix:
             ncols = width
         elif ncols is None:
             ncols = 0
-        self._fractions: tuple[SparseRow, ...] | None = tuple(map(_nonzero, frozen))
-        self._ints: tuple[IntRow, ...] | None = None
-        self.nrows: int = len(frozen)
+        self._set([_int_row(_nonzero(row)) for row in frozen], ncols)
+
+    def _set(self, rows: Sequence[IntRow], ncols: int) -> None:
+        self.int_rows: tuple[IntRow, ...] = tuple(rows)
+        self.nrows: int = len(self.int_rows)
         self.ncols: int = ncols
-        self._dense = None
+        self._sparse = self._dense = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _make(cls, ints, fractions, nrows: int, ncols: int) -> QMatrix:
+    def _wrap(cls, rows: Sequence[IntRow], ncols: int) -> QMatrix:
+        """Matrix over rows already in canonical integer form."""
         m = cls.__new__(cls)
-        m._ints = ints
-        m._fractions = fractions
-        m.nrows = nrows
-        m.ncols = ncols
-        m._dense = None
+        m._set(rows, ncols)
         return m
 
     @classmethod
     def from_sparse(cls, rows: Iterable[SparseRow], ncols: int) -> QMatrix:
-        """Matrix over rows that already hold only nonzero canonical entries.
-
-        The rows are shared, not copied: no row dict is mutated once a
-        matrix holds it.
-        """
-        fractions = tuple(rows)
-        return cls._make(None, fractions, len(fractions), ncols)
+        """Matrix over rows {column: nonzero Fraction}, converted once; none is kept."""
+        return cls._wrap([_int_row(row) for row in rows], ncols)
 
     @classmethod
     def from_ints(cls, rows: Iterable[IntRow], ncols: int) -> QMatrix:
-        """Rows nums / den, each nums without zeros and den > 0, in lowest terms."""
+        """Rows nums / den, each nums without zeros and den > 0; the dicts are taken over."""
         return cls._wrap([_canon(nums, den) for nums, den in rows], ncols)
-
-    @classmethod
-    def _wrap(cls, rows: Sequence[IntRow], ncols: int) -> QMatrix:
-        """Matrix over rows already in canonical integer form."""
-        return cls._make(tuple(rows), None, len(rows), ncols)
 
     @classmethod
     def identity(cls, n: int) -> QMatrix:
@@ -207,19 +195,8 @@ class QMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: int | None = None) -> QMatrix:
-        cols = [as_vector(c) for c in columns]
-        if cols:
-            nrows = len(cols[0])
-            if any(len(c) != nrows for c in cols):
-                raise ValueError("ragged columns")
-        elif nrows is None:
-            nrows = 0
-        rows: list[SparseRow] = [{} for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            for i, x in enumerate(col):
-                if x:
-                    rows[i][j] = x
-        return cls.from_sparse(rows, len(cols))
+        """The matrix with these columns; *nrows* gives its height when there are none."""
+        return cls(columns, nrows).transpose()
 
     @classmethod
     def stacked(cls, blocks: Sequence[QMatrix]) -> QMatrix:
@@ -236,18 +213,11 @@ class QMatrix:
         return (self.nrows, self.ncols)
 
     @property
-    def int_rows(self) -> tuple[IntRow, ...]:
-        """Each row in canonical integer form, built on first use."""
-        if self._ints is None:
-            self._ints = tuple(map(_int_row, self._fractions))
-        return self._ints
-
-    @property
     def sparse_rows(self) -> tuple[SparseRow, ...]:
-        """Each row as {column: nonzero Fraction}, built on first use."""
-        if self._fractions is None:
-            self._fractions = tuple(map(_fraction_row, self._ints))
-        return self._fractions
+        """Read-only view: each row as {column: nonzero Fraction}, built on first use."""
+        if self._sparse is None:
+            self._sparse = tuple(map(_fraction_row, self.int_rows))
+        return self._sparse
 
     @property
     def rows(self) -> tuple[Vector, ...]:
@@ -585,20 +555,13 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> Subspace:
-        rows = []
-        for vec in vectors:
-            v = as_vector(vec)
+        rows = [as_vector(vec) for vec in vectors]
+        for v in rows:
             if len(v) != ambient_dim:
                 raise AmbientMismatch(
                     f"vectors of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-            rows.append(_nonzero(v))
-        return cls.from_sparse(ambient_dim, rows)
-
-    @classmethod
-    def from_sparse(cls, ambient_dim: int, rows: Iterable[SparseRow]) -> Subspace:
-        """Span of rows holding only nonzero canonical entries."""
-        return cls.spanned(QMatrix.from_sparse(rows, ambient_dim))
+        return cls.spanned(QMatrix(rows, ambient_dim))
 
     @classmethod
     def spanned(cls, m: QMatrix) -> Subspace:
@@ -628,36 +591,34 @@ class Subspace:
         """Each basis row, keyed by its pivot column."""
         return dict(zip(self.pivots, self.basis.int_rows))
 
-    def _pivots_in(self, vec: Mapping[int, object]) -> list[int]:
-        """The pivot columns where *vec* is nonzero, looping over the smaller."""
-        rows = self._pivot_rows
-        if len(vec) <= len(rows):
-            return [c for c in vec if c in rows]
-        return [p for p in rows if p in vec]
+    def _remainder(self, nums: dict[int, int]) -> IntRow:
+        """Remainder of the integer vector *nums* after eliminating all basis pivots.
 
-    def reduce_sparse(self, vec: Mapping[int, Fraction]) -> SparseRow:
-        """Remainder of a sparse vector after eliminating all basis pivots."""
-        nums, vden = _int_row(vec)
+        RREF rows vanish on each other's pivots: one pass, any order.  Over
+        the lcm den of the hit rows' denominators, nums - sum_p nums_p row_p
+        is (nums den - sum_p nums_p (den / d_p) pnums_p) / den.
+        """
         rows = self._pivot_rows
-        hits = self._pivots_in(nums)
-        # RREF rows vanish on each other's pivots: one pass, any order.  Over
-        # the lcm of the rows' denominators, vec - sum_p vec_p row_p is
-        # (vec den - sum_p vec_p (den / d_p) nums_p) / (vden den).
+        if len(nums) <= len(rows):
+            hits = [c for c in nums if c in rows]
+        else:
+            hits = [p for p in rows if p in nums]
         den = lcm(*[rows[p][1] for p in hits])
         out = {c: x * den for c, x in nums.items()}
         for p in hits:
             pnums, d = rows[p]
             _sub_multiple(out, nums[p] * (den // d), pnums)
-        return _fraction_row((out, vden * den))
+        return out, den
 
     def _reduces_to_zero(self, nums: dict[int, int]) -> bool:
         """Whether the integer vector *nums* lies in this subspace."""
-        rows = self._pivot_rows
-        row = dict(nums)
-        # Known pivot rows vanish on each other's pivots, as in `rref`.
-        for p in self._pivots_in(nums):
-            row = _eliminate(row, p, rows[p][0])
-        return not row
+        return not self._remainder(nums)[0]
+
+    def reduce_sparse(self, vec: Mapping[int, Fraction]) -> SparseRow:
+        """Remainder of a sparse vector after eliminating all basis pivots."""
+        nums, vden = _int_row(vec)
+        out, den = self._remainder(nums)
+        return _fraction_row((out, vden * den))
 
     def reduce(self, v: Sequence) -> Vector:
         """Remainder of *v* after eliminating all basis pivots."""
@@ -742,27 +703,16 @@ class QuotientSpace:
         return self.complement.basis.rows
 
     def coordinates(self, x: Sequence) -> Vector:
-        vec = as_vector(x)
-        if len(vec) != self.total.ambient_dim:
-            raise AmbientMismatch(
-                f"vector length {len(vec)} != ambient {self.total.ambient_dim}"
-            )
-        return self.sparse_coordinates(_nonzero(vec))
+        return self.class_matrix(QMatrix([x])).column(0)
 
     def sparse_coordinates(self, vec: Mapping[int, Fraction]) -> Vector:
         """`coordinates` of a vector given by its nonzero entries."""
-        nums, den = _int_row(vec)
-        if not self.total._reduces_to_zero(nums):
-            raise NotInSubspace("vector is not in the total space of the quotient")
-        if self._solver is None:
-            return ()
-        out = self._solver._apply_int(nums, den)
-        return tuple(out.get(i, _ZERO) for i in range(self.dim))
+        return self.class_matrix(QMatrix.from_sparse([vec], self.total.ambient_dim)).column(0)
 
     def class_matrix(self, vectors: QMatrix) -> QMatrix:
         """Coordinates of every row of *vectors*, as the columns of one product.
 
-        Column j holds `sparse_coordinates` of row j: the matrix is
+        Column j holds the class coordinates of row j: the matrix is
         solver @ vectors^T.  Each row is first checked to lie in the
         total space, on its integer form; a row outside it raises
         NotInSubspace.

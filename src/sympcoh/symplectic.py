@@ -48,12 +48,11 @@ from .exterior import (
     monomial_basis,
     nonzero_columns,
     top_coefficient,
+    wedge_pairing,
 )
 from .lie import LieAlgebra
 from .linalg import (
-    IntRow,
     QMatrix,
-    SparseRow,
     Subspace,
     _int_row,
     _over_lcm,
@@ -254,9 +253,6 @@ class SymplecticStructure:
             self._dd_lambda_blocks[k] = block
         return block
 
-    def star_block(self, k: int) -> QMatrix:
-        return self.star_op.block(k)
-
     def L_power_block(self, r: int, k: int) -> QMatrix:
         """L^r from degree k to degree k + 2r, cached."""
         block = self._L_powers.get((r, k))
@@ -320,24 +316,16 @@ class SymplecticStructure:
         for all alpha.  The Liouville normalization omega^n / n! is what
         makes star an involution (star star = id fails by a factor n!^2
         with the bare top power).  The wedge pairing of complementary
-        monomials is a signed permutation, so each block is just the
-        Gram matrix rescaled by those signs and the volume coefficient.
+        monomials is a signed permutation S_k (`wedge_pairing`), so block
+        k is c S_k^T G_k for the Gram matrix G_k and the Liouville volume
+        coefficient c.
         """
-        c = self.volume_coeff / factorial(self.n)
-        everything = tuple(range(1, self.dim + 1))
-        blocks: dict[int, QMatrix] = {}
+        c, m = self.volume_coeff / factorial(self.n), self.dim
         try:
-            for k in range(self.dim + 1):
-                basis = monomial_basis(self.dim, k)
-                cobasis = monomial_basis(self.dim, self.dim - k)
-                positions = {key: i for i, key in enumerate(cobasis)}
-                rows: list[IntRow] = [({}, 1) for _ in cobasis]
-                for a, (nums, den) in zip(basis, self.pairing_matrix(k).int_rows):
-                    complement = tuple(i for i in everything if i not in a)
-                    sign, _ = merge_with_sign(a, complement)
-                    f, q = sign * c.numerator, c.denominator
-                    rows[positions[complement]] = ({b: f * x for b, x in nums.items()}, q * den)
-                blocks[k] = QMatrix.from_ints(rows, len(basis))
+            blocks = {
+                k: combination([(c, wedge_pairing(m, k).transpose(), self.pairing_matrix(k))])
+                for k in range(m + 1)
+            }
         finally:
             self._minors = None
         op = GradedOperator(self.dim, None, blocks)
@@ -455,26 +443,23 @@ class SymplecticStructure:
         n = self.n
         if form.is_zero():
             return LefschetzComponents(k, n, {r: Form.zero(self.dim, 0) for r in _r_range(k, n)})
-        columns: list[SparseRow] = []  # L^r of each primitive basis vector
-        tags: list[tuple[int, SparseRow]] = []
-        for r in _r_range(k, n):
-            prim = self.primitive_subspace(k - 2 * r)
-            lifted = prim.basis @ self.L_power_block(r, k - 2 * r).transpose()
-            columns.extend(lifted.sparse_rows)
-            tags.extend((r, vec) for vec in prim.basis.sparse_rows)
-        matrix = QMatrix.from_sparse(columns, comb(self.dim, k)).transpose()
-        solution = solve(matrix, form.coeff_vector())
+        prims = {r: self.primitive_subspace(k - 2 * r) for r in _r_range(k, n)}
+        # One row per primitive basis vector B: L^r B, block by block in r.
+        lifted = [
+            prim.basis @ self.L_power_block(r, k - 2 * r).transpose() for r, prim in prims.items()
+        ]
+        solution = solve(QMatrix.stacked(lifted).transpose(), form.coeff_vector())
         if solution is None:
             raise InternalInconsistencyError(
                 f"degree-{k} form is not in the span of the Lefschetz summands"
             )
         components: dict[int, Form] = {}
-        for r in _r_range(k, n):
-            acc = Form.zero(self.dim, k - 2 * r)
-            for x, (tag_r, vec) in zip(solution, tags):
-                if tag_r == r and x:
-                    acc = acc + Form.from_sparse(self.dim, k - 2 * r, vec) * x
-            components[r] = acc * factorial(r)
+        start = 0
+        for r, prim in prims.items():
+            coeffs = QMatrix([solution[start : start + prim.dim]], prim.dim).scaled(factorial(r))
+            start += prim.dim
+            (row,) = (coeffs @ prim.basis).sparse_rows
+            components[r] = Form.from_sparse(self.dim, k - 2 * r, row)
         return LefschetzComponents(k, n, components)
 
 

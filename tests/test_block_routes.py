@@ -1,0 +1,259 @@
+"""Block products against the per-vector and Form routes they replace.
+
+The star and the cup pairing are products with the signed permutation
+`wedge_pairing`; the decomposition sum, L^r H^(0,s) and the
+H^(k,0) meet H^(0,2k) check are eliminations of stacked or multiplied
+blocks; class coordinates of one vector are the one-row case of
+`class_matrix`.  Each is checked here against the route it replaced
+(Form wedges, the running `subspace_sum` fold, per-vector `apply`, the
+Zassenhaus `subspace_intersect`), which stays in this file as the
+oracle.  Every `QMatrix` constructor is checked to give the same
+canonical integer rows and to keep none of its caller's containers.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+from math import comb, factorial, lcm
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sympcoh import (
+    Form,
+    InternalInconsistencyError,
+    QMatrix,
+    Subspace,
+    SymplecticCohomology,
+    corpus,
+    load_model,
+    structure_from_model,
+    subspace_intersect,
+    subspace_sum,
+    top_coefficient,
+)
+from sympcoh import cohomology
+from sympcoh.exterior import merge_with_sign, monomial_basis, wedge_pairing
+from sympcoh.verify import random_symplectic_structure
+
+from test_integer_rows import assert_canonical, wide_matrices
+
+examples = settings(deadline=None, max_examples=60)
+
+NIL8 = Path(__file__).resolve().parents[1] / "perfbench" / "models" / "nil8.model"
+MODELS = {model.name: model for model in corpus()} | {"nil8": load_model(NIL8)}
+
+
+@pytest.fixture(scope="module", params=list(MODELS))
+def engine(request):
+    return SymplecticCohomology(structure_from_model(MODELS[request.param]))
+
+
+@pytest.fixture(scope="module")
+def random_engines():
+    rng = random.Random(7)
+    return [SymplecticCohomology(random_symplectic_structure(6, rng)) for _ in range(2)]
+
+
+# -- the wedge pairing, the star and the cup pairing ----------------------------
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_wedge_pairing_is_the_top_coefficient_of_monomial_wedges(dim):
+    for k in range(dim + 1):
+        pairing = wedge_pairing(dim, k)
+        assert pairing.shape == (comb(dim, k), comb(dim, dim - k))
+        want = [
+            [top_coefficient(Form.monomial(dim, a).wedge(Form.monomial(dim, b))) for b in high]
+            for a in monomial_basis(dim, k)
+            for high in [monomial_basis(dim, dim - k)]
+        ]
+        assert pairing == QMatrix(want, comb(dim, dim - k))
+
+
+def _star_block_by_signs(s, k: int) -> QMatrix:
+    """Block k of the star as rows of the Gram matrix moved and signed one by one."""
+    c = s.volume_coeff / factorial(s.n)
+    cobasis = monomial_basis(s.dim, s.dim - k)
+    rows = [[Fraction(0)] * comb(s.dim, k) for _ in cobasis]
+    for a, gram_row in zip(monomial_basis(s.dim, k), s.pairing_matrix(k).rows):
+        complement = tuple(i for i in range(1, s.dim + 1) if i not in a)
+        sign, _ = merge_with_sign(a, complement)
+        rows[cobasis.index(complement)] = [sign * c * x for x in gram_row]
+    return QMatrix(rows, comb(s.dim, k))
+
+
+def test_star_blocks_match_the_signed_gram_rows(engine, random_engines):
+    for coh in [engine, *random_engines]:
+        s = coh.s
+        for k in range(s.dim + 1):
+            assert s.star_op.block(k) == _star_block_by_signs(s, k), k
+
+
+def _cup_by_form_wedges(coh, k: int) -> QMatrix:
+    low = coh.de_rham[k].representatives
+    high = coh.de_rham[coh.s.dim - k].representatives
+    return QMatrix([[top_coefficient(a.wedge(b)) for b in high] for a in low], len(high))
+
+
+def test_cup_matrix_matches_form_wedges(engine, random_engines):
+    checked = 0
+    for coh in [engine, *random_engines]:
+        if not coh.properties.unimodular:
+            continue
+        for k in range(coh.s.dim + 1):
+            assert coh.cup_matrix(k) == _cup_by_form_wedges(coh, k), k
+        checked += 1
+    assert checked
+
+
+def test_random_engines_for_the_cup_oracle_are_unimodular(random_engines):
+    assert all(coh.properties.unimodular for coh in random_engines)
+
+
+# -- decomposition, L^r H^(0,s) and the meet dimension ---------------------------
+
+
+def test_decomposition_sum_matches_the_subspace_sum_fold(engine):
+    for degree in range(engine.s.dim + 1):
+        total = Subspace.zero(engine.betti[degree])
+        for r in range(degree // 2 + 1):
+            total = subspace_sum(total, engine.hrs_group(r, degree - 2 * r).classes)
+        assert engine.decomposition(degree).sum_dim == total.dim, degree
+
+
+def test_lr_push_matches_per_vector_apply(engine):
+    n = engine.s.n
+    checked = 0
+    for s in range(n + 1):
+        for r in range(1, (n - s) // 2 + 1):
+            base = engine.hrs_group(0, s).classes
+            matrix = engine.l_cohomology_matrix(r, s)
+            by_vector = Subspace.from_vectors(
+                engine.betti[s + 2 * r], [matrix.apply(vec) for vec in base.basis.rows]
+            )
+            assert Subspace.spanned(base.basis @ matrix.transpose()) == by_vector, (r, s)
+            assert by_vector == engine.hrs_group(r, s).classes, (r, s)
+            checked += 1
+    assert checked
+    assert all(engine.lr_equals_hr_check().values())
+
+
+def test_meet_dimension_matches_subspace_intersect(engine):
+    pairs = 0
+    for degree in range(engine.s.dim + 1):
+        groups = [engine.hrs_group(r, degree - 2 * r) for r in range(degree // 2 + 1)]
+        for a, b in combinations(groups, 2):
+            by_rank = a.dim + b.dim - subspace_sum(a.classes, b.classes).dim
+            assert by_rank == subspace_intersect(a.classes, b.classes).dim, (a.r, b.r)
+            pairs += 1
+    assert pairs
+    assert all(engine.intersection_remark_check().values())
+
+
+def test_a_nonzero_meet_fails_the_intersection_check(engine):
+    """With H^(0,2k) replaced by H^(k,0), the meet is H^(k,0) itself."""
+    fresh = SymplecticCohomology(engine.s)
+    fresh._hrs[(0, 2)] = fresh.hrs_group(1, 0)
+    with pytest.raises(InternalInconsistencyError, match=r"H\^\(1,0\) meet H\^\(0,2\) is 1-dim"):
+        fresh.intersection_remark_check()
+
+
+# -- H^(r,s) groups that are zero by degree -----------------------------------------
+
+
+def test_groups_zero_by_degree_skip_the_meet(engine, monkeypatch):
+    calls = []
+    original = cohomology.image_meet_kernel
+
+    def counting(m, a):
+        calls.append((m.shape, a.shape))
+        return original(m, a)
+
+    monkeypatch.setattr(cohomology, "image_meet_kernel", counting)
+    fresh = SymplecticCohomology(engine.s)
+    n, dim = fresh.s.n, fresh.s.dim
+    zero_by_degree = [
+        (r, s)
+        for s in range(dim + 1)
+        for r in range((dim - s) // 2 + 1)
+        if s > n or r + s > n
+    ]
+    assert zero_by_degree
+    for r, s in zero_by_degree:
+        group = fresh.hrs_group(r, s)
+        assert group.dim == 0 and group.representatives == ()
+        assert group.classes == Subspace.zero(fresh.betti[2 * r + s])
+    assert calls == []
+    fresh.hrs_group(0, 1)  # a group that is not zero by degree takes the meet
+    assert len(calls) == 1
+
+
+# -- class coordinates of one vector ---------------------------------------------------
+
+
+def test_one_vector_coordinates_write_it_over_the_representatives(engine):
+    for space in engine.de_rham:
+        q = space.quotient
+        reps = q.complement.basis
+        for row in q.total.basis.sparse_rows:
+            coords = q.sparse_coordinates(row)
+            assert len(coords) == q.dim
+            rest = QMatrix.from_sparse([row], q.total.ambient_dim)
+            if q.dim:
+                rest = rest - QMatrix([coords]) @ reps
+            assert q.sub.contains(rest.rows[0]), space.degree
+
+
+# -- one stored form for every constructor ---------------------------------------------
+
+
+def _reference_rows(values):
+    """Each dense row over the lcm of its denominators, in lowest terms."""
+    rows = []
+    for row in values:
+        den = lcm(*[x.denominator for x in row if x])
+        rows.append(({j: int(x * den) for j, x in enumerate(row) if x}, den))
+    return tuple(rows)
+
+
+@examples
+@given(wide_matrices(), st.integers(1, 12))
+def test_every_constructor_gives_the_same_integer_rows(m, factor):
+    values = [list(row) for row in m.rows]
+    want = _reference_rows(values)
+    scaled_up = [({j: x * factor for j, x in nums.items()}, den * factor) for nums, den in want]
+    built = [
+        QMatrix(values, m.ncols),
+        QMatrix([[str(x) for x in row] for row in values], m.ncols),
+        QMatrix.from_sparse([dict(row) for row in m.sparse_rows], m.ncols),
+        QMatrix.from_columns([list(col) for col in zip(*values)], m.nrows),
+        QMatrix.from_ints(scaled_up, m.ncols),
+    ]
+    for other in built:
+        assert other.shape == m.shape
+        assert other.int_rows == want
+        assert_canonical(other)
+
+
+def test_constructors_keep_none_of_the_callers_rows():
+    rows = [{0: Fraction(1, 2), 2: Fraction(3)}, {}]
+    built = QMatrix.from_sparse(rows, 3)
+    before = built.int_rows
+    rows[0][1] = Fraction(5)
+    rows[1][0] = Fraction(7)
+    del rows[0][0]
+    assert built.int_rows == before == (({0: 1, 2: 6}, 2), ({}, 1))
+    assert built.sparse_rows == ({0: Fraction(1, 2), 2: Fraction(3)}, {})
+    dense = [[1, 0], [0, 2]]
+    matrix = QMatrix(dense)
+    dense[0][0] = 9
+    assert matrix.int_rows == (({0: 1}, 1), ({1: 2}, 1))
+
+
+def test_views_are_cached():
+    m = QMatrix([[Fraction(1, 2), 0], [0, 3]])
+    assert m.rows is m.rows
+    assert m.sparse_rows is m.sparse_rows
+    assert m.rows == ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(3)))

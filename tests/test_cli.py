@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sympcoh.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_MATH, EXIT_OK, main
 from sympcoh.errors import InternalInconsistencyError
 
@@ -126,3 +128,31 @@ def test_corpus_list(capsys):
     out = capsys.readouterr().out
     for name in ("torus6", "example1", "example2", "example3", "example4"):
         assert name in out
+
+
+@pytest.mark.parametrize("degree", ["-1", "7"])
+def test_compute_degree_outside_the_dimension_is_input_error(degree, capsys):
+    assert main(["compute", "example1", "--degree", degree]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --degree must lie in 0..6")
+    assert captured.out == ""
+
+
+def test_compute_degree_bounds_are_inclusive(capsys):
+    for degree in ("0", "6"):
+        assert main(["compute", "example1", "--json", "--degree", degree]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert [entry["degree"] for entry in data["decompositions"]] == [int(degree)]
+
+
+def test_verify_negative_count_is_input_error(monkeypatch, capsys):
+    monkeypatch.setattr("sympcoh.cli.run_verify", lambda **kwargs: pytest.fail("ran verify"))
+    assert main(["verify", "--count", "-1"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: --count must be non-negative")
+
+
+def test_compute_out_into_missing_directory_is_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main(["compute", "torus6", "--json", "--out", str(target)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+    assert not target.parent.exists()

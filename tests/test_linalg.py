@@ -244,7 +244,6 @@ class TestCanonicalEntries:
 
     def test_plain_fractions_stored_as_is(self):
         x = F("6/4")
-        assert QMatrix([[x]]).rows[0][0] is x
         assert as_vector([x])[0] is x
 
 
