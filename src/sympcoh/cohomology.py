@@ -11,8 +11,11 @@ basis of the orthogonal complement of the exact forms inside the closed
 forms, with respect to the standard inner product on coefficient
 vectors (the one induced by declaring the coframe orthonormal).
 
-Maps into cohomology work on whole blocks: the class coordinates of
-every row of a block come from one `QuotientSpace.class_matrix` product
+Every cohomology is a `CohomologySpace`: numerator, denominator and a
+label, with the inclusion checked on construction and the quotient
+structure built on first use.  Maps into cohomology work on whole
+blocks: the class coordinates of every row of a block come from one
+`CohomologySpace.class_matrix` product
 (the H^(r,s) classes, the maps induced by L^r, the comparison of
 H_(d+d^Lambda) with H_dR), and the H^(r,s) representatives are the
 product of the class basis with the representative basis.  Sums,
@@ -25,7 +28,8 @@ cohomologies share are computed once per engine:
 ker [d; d^Lambda; Lambda] for both primitive cohomologies, im d^Lambda
 for the d^Lambda and d d^Lambda cohomologies, and im d from de Rham.
 
-Checks backed by theorems (the degree-2 decomposition, the vanishing of
+Checks backed by theorems (every quotient's inclusion and class
+coordinates, the degree-2 decomposition, the vanishing of
 H^(k,0) meet H^(0,2k), H^(r,s) = L^r H^(0,s) in low total degree, the
 HLC / dd^Lambda-lemma equivalence) run in assert mode: a failure raises
 InternalInconsistencyError, i.e. it is an implementation bug and never a
@@ -39,8 +43,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .errors import AmbientMismatch, InternalInconsistencyError, NotUnimodular
-from .exterior import Form, top_coefficient, wedge_pairing
+from .errors import AmbientMismatch, InternalInconsistencyError, NotInSubspace, NotUnimodular
+from .exterior import Form, wedge_pairing
 from .lie import AlgebraProperties, LieAlgebra, check_properties
 from .linalg import (
     QMatrix,
@@ -54,14 +58,13 @@ from .linalg import (
     rref,
     subspace_sum,
 )
-from .symplectic import SymplecticStructure
+from .symplectic import SymplecticStructure, _r_range
 
 __all__ = [
     "CohomologySpace",
     "HrsGroup",
     "DecompositionVerdict",
     "HlcResult",
-    "PrimitiveCohomology",
     "de_rham_cohomology",
     "SymplecticCohomology",
     "is_abelian",
@@ -69,22 +72,51 @@ __all__ = [
 
 
 class CohomologySpace:
-    """One degree of a ker/im quotient with harmonic representatives."""
+    """One degree of a ker/im quotient with harmonic representatives.
 
-    def __init__(self, dim_forms: int, degree: int, numerator: Subspace, denominator: Subspace):
+    The constructor checks that the denominator lies in the numerator;
+    the quotient structure and the representatives are built on first
+    use.  *label* names the cohomology in the errors, which are
+    InternalInconsistencyError: every quotient here is backed by a
+    theorem (d^2 = 0 and its relatives), so a failure is a bug.
+    """
+
+    def __init__(
+        self, dim_forms: int, degree: int, numerator: Subspace, denominator: Subspace,
+        label: str = "cohomology",
+    ):
         self.ambient_dim = dim_forms
         self.degree = degree
         self.numerator = numerator
         self.denominator = denominator
-        self.quotient: QuotientSpace = quotient_structure(denominator, numerator)
-        self.representatives: tuple[Form, ...] = tuple(
-            Form.from_sparse(dim_forms, degree, row)
-            for row in self.quotient.complement.basis.sparse_rows
-        )
+        self.label = label
+        if not numerator.contains_subspace(denominator):
+            raise self._error("the denominator is not contained in the numerator")
+
+    def _error(self, what: str) -> InternalInconsistencyError:
+        return InternalInconsistencyError(f"{self.label} in degree {self.degree}: {what}")
 
     @property
     def dim(self) -> int:
-        return self.quotient.dim
+        return self.numerator.dim - self.denominator.dim
+
+    @cached_property
+    def quotient(self) -> QuotientSpace:
+        return quotient_structure(self.denominator, self.numerator)
+
+    @cached_property
+    def representatives(self) -> tuple[Form, ...]:
+        return tuple(
+            Form.from_sparse(self.ambient_dim, self.degree, row)
+            for row in self.quotient.complement.basis.sparse_rows
+        )
+
+    def class_matrix(self, rows: QMatrix) -> QMatrix:
+        """Class coordinates of every row of *rows*, one column per row."""
+        try:
+            return self.quotient.class_matrix(rows)
+        except NotInSubspace as exc:
+            raise self._error(str(exc)) from None
 
     def class_of(self, form: Form | Sequence) -> Vector:
         """Coordinates of a cocycle's class w.r.t. the representatives."""
@@ -97,13 +129,6 @@ class CohomologySpace:
             )
         return self.quotient.sparse_coordinates(form.sparse_vector())
 
-    def representative_of(self, coords: Sequence) -> Form:
-        total = Form.zero(self.ambient_dim, self.degree)
-        for c, rep in zip(coords, self.representatives):
-            if c:
-                total = total + rep * Fraction(c)
-        return total
-
 
 def de_rham_cohomology(g: LieAlgebra) -> tuple[CohomologySpace, ...]:
     """H^k(g) = ker d_k / im d_{k-1} for every degree, with representatives."""
@@ -111,7 +136,7 @@ def de_rham_cohomology(g: LieAlgebra) -> tuple[CohomologySpace, ...]:
     for k in range(g.dim + 1):
         closed = kernel(g.d_op.block(k))
         exact = image(g.d_op.block(k - 1))
-        spaces.append(CohomologySpace(g.dim, k, closed, exact))
+        spaces.append(CohomologySpace(g.dim, k, closed, exact, "H_dR"))
     return tuple(spaces)
 
 
@@ -146,21 +171,13 @@ class HlcResult:
     overall: bool
 
 
-@dataclass(frozen=True)
-class PrimitiveCohomology:
-    degree: int
-    dim: int
-    representatives: tuple[Form, ...]
-
-
 class SymplecticCohomology:
     """All cohomological invariants of one symplectic structure, cached."""
 
     def __init__(self, s: SymplecticStructure):
         self.s = s
         self._hrs: dict[tuple[int, int], HrsGroup] = {}
-        self._l_matrices: dict[tuple[int, int], QMatrix] = {}
-        self._ph_plus: dict[int, PrimitiveCohomology] = {}
+        self._ph_plus: dict[int, CohomologySpace] = {}
         self._primitive_closed: dict[int, Subspace] = {}
         self._dlambda_images: dict[int, Subspace] = {}
         self._decompositions: dict[int, DecompositionVerdict] = {}
@@ -190,14 +207,13 @@ class SymplecticCohomology:
 
     @cached_property
     def dlambda_dims(self) -> tuple[int, ...]:
-        dims = []
-        for k in range(self.s.dim + 1):
-            closed = kernel(self.s.d_lambda_block(k))
-            exact = self._dlambda_image(k + 1)
-            if not closed.contains_subspace(exact):
-                raise InternalInconsistencyError(f"(d^Lambda)^2 != 0 reaching degree {k}")
-            dims.append(closed.dim - exact.dim)
-        return tuple(dims)
+        return tuple(
+            CohomologySpace(
+                self.s.dim, k, kernel(self.s.d_lambda_block(k)), self._dlambda_image(k + 1),
+                "H_dLambda",
+            ).dim
+            for k in range(self.s.dim + 1)
+        )
 
     @cached_property
     def d_plus_dlambda(self) -> tuple[CohomologySpace, ...]:
@@ -206,33 +222,31 @@ class SymplecticCohomology:
         for k in range(self.s.dim + 1):
             numerator = kernel(QMatrix.stacked([self.s.d_block(k), self.s.d_lambda_block(k)]))
             denominator = image(self.s.dd_lambda_block(k))
-            spaces.append(CohomologySpace(self.s.dim, k, numerator, denominator))
+            spaces.append(CohomologySpace(self.s.dim, k, numerator, denominator, "H_(d+dLambda)"))
         return tuple(spaces)
 
     @cached_property
     def ddlambda_dims(self) -> tuple[int, ...]:
         """ker(d d^Lambda) / (im d + im d^Lambda), dimensions only."""
-        dims = []
-        for k in range(self.s.dim + 1):
-            numerator = kernel(self.s.dd_lambda_block(k))
-            denominator = subspace_sum(self.de_rham[k].denominator, self._dlambda_image(k + 1))
-            if not numerator.contains_subspace(denominator):
-                raise InternalInconsistencyError(
-                    f"im d + im d^Lambda escapes ker(d d^Lambda) in degree {k}"
-                )
-            dims.append(numerator.dim - denominator.dim)
-        return tuple(dims)
+        return tuple(
+            CohomologySpace(
+                self.s.dim, k, kernel(self.s.dd_lambda_block(k)),
+                subspace_sum(self.de_rham[k].denominator, self._dlambda_image(k + 1)),
+                "H_ddLambda",
+            ).dim
+            for k in range(self.s.dim + 1)
+        )
 
     # -- primitive cohomologies --------------------------------------------
 
-    def primitive_ph_plus(self, sdeg: int) -> PrimitiveCohomology:
+    def primitive_ph_plus(self, sdeg: int) -> CohomologySpace:
         """Primitive (d + d^Lambda)-cohomology in degree sdeg.
 
         Computed both as
           ker [d; d^Lambda; Lambda] / (im d d^Lambda meet P)   and
           ker [d; Lambda] / d d^Lambda(P),
         where P = ker Lambda is the primitive subspace; the two dimensions
-        are asserted equal.
+        are asserted equal, and the first quotient is returned.
         """
         cached = self._ph_plus.get(sdeg)
         if cached is not None:
@@ -240,21 +254,22 @@ class SymplecticCohomology:
         s = self.s
         prim = s.primitive_subspace(sdeg)
         d, lam, ddl = s.d_block(sdeg), s.lambda_block(sdeg), s.dd_lambda_block(sdeg)
-        num_a = self._closed_primitive(sdeg)
-        den_a = image_meet_kernel(ddl, lam)  # im d d^Lambda meet P
-        space = CohomologySpace(s.dim, sdeg, num_a, den_a)
-
-        num_b = kernel(QMatrix.stacked([d, lam]))
-        den_b = Subspace.spanned(prim.basis @ ddl.transpose())  # d d^Lambda(P)
-        dim_b = num_b.dim - den_b.dim
-        if space.dim != dim_b:
+        space = CohomologySpace(
+            s.dim, sdeg, self._closed_primitive(sdeg), image_meet_kernel(ddl, lam),
+            "PH_(d+dLambda)",
+        )
+        second = CohomologySpace(
+            s.dim, sdeg, kernel(QMatrix.stacked([d, lam])),
+            Subspace.spanned(prim.basis @ ddl.transpose()),
+            "PH_(d+dLambda) as ker [d; Lambda] / d dLambda(P)",
+        )
+        if space.dim != second.dim:
             raise InternalInconsistencyError(
                 f"the two primitive (d+d^Lambda) formulas disagree in degree {sdeg}: "
-                f"{space.dim} vs {dim_b}"
+                f"{space.dim} vs {second.dim}"
             )
-        result = PrimitiveCohomology(sdeg, space.dim, space.representatives)
-        self._ph_plus[sdeg] = result
-        return result
+        self._ph_plus[sdeg] = space
+        return space
 
     def _closed_primitive(self, sdeg: int) -> Subspace:
         """ker [d; d^Lambda; Lambda] in degree sdeg, shared by both primitive cohomologies."""
@@ -282,11 +297,7 @@ class SymplecticCohomology:
             QMatrix.stacked([s.lambda_block(sdeg - 1), s.d_lambda_block(sdeg - 1)])
         )
         denominator = Subspace.spanned(source.basis @ s.d_block(sdeg - 1).transpose())
-        if not numerator.contains_subspace(denominator):
-            raise InternalInconsistencyError(
-                f"primitive d-cohomology denominator escapes the numerator in degree {sdeg}"
-            )
-        return numerator.dim - denominator.dim
+        return CohomologySpace(s.dim, sdeg, numerator, denominator, "PH_d").dim
 
     # -- the (r, s) subgroups ------------------------------------------------
 
@@ -306,7 +317,7 @@ class SymplecticCohomology:
             prim = self.s.primitive_subspace(s)
             lifted = self.s.L_power_block(r, s) @ prim.basis.transpose()
             closed_part = image_meet_kernel(lifted, self.s.d_block(degree))
-            classes = Subspace.spanned(space.quotient.class_matrix(closed_part.basis).transpose())
+            classes = Subspace.spanned(space.class_matrix(closed_part.basis).transpose())
             representatives = tuple(
                 Form.from_sparse(self.s.dim, degree, row)
                 for row in (classes.basis @ space.quotient.complement.basis).sparse_rows
@@ -341,15 +352,9 @@ class SymplecticCohomology:
         Well-defined because [d, L] = 0; each representative is pushed
         through the L^power block and projected back to class coordinates.
         """
-        key = (power, from_degree)
-        cached = self._l_matrices.get(key)
-        if cached is not None:
-            return cached
-        matrix = _induced_l_power(
+        return _induced_l_power(
             self.s, power, self.de_rham[from_degree], self.de_rham[from_degree + 2 * power]
         )
-        self._l_matrices[key] = matrix
-        return matrix
 
     def hlc(self) -> HlcResult:
         """Hard Lefschetz: L^k iso on cohomology for every k in 0..n."""
@@ -376,7 +381,7 @@ class SymplecticCohomology:
         results = []
         for k in range(self.s.dim + 1):
             space = self.d_plus_dlambda[k]
-            matrix = self.de_rham[k].quotient.class_matrix(space.quotient.complement.basis)
+            matrix = self.de_rham[k].class_matrix(space.quotient.complement.basis)
             _, _, rank = rref(matrix)
             results.append(rank == space.dim)
         self._dd_lemma = tuple(results)
@@ -388,16 +393,13 @@ class SymplecticCohomology:
     # -- pairings ----------------------------------------------------------------
 
     def cup_pairing(self, class_a: Sequence, k: int, class_b: Sequence) -> Fraction:
-        """Top coefficient of (rep of class_a) wedge (rep of class_b).
+        """a M b^T for the classes a in H^k, b in H^{2n-k} and M = `cup_matrix(k)`.
 
         Well-defined on classes only for unimodular algebras (top-degree
         exact forms vanish); checked.
         """
-        if not self.properties.unimodular:
-            raise NotUnimodular("cup pairing on classes needs a unimodular algebra")
-        rep_a = self.de_rham[k].representative_of(class_a)
-        rep_b = self.de_rham[self.s.dim - k].representative_of(class_b)
-        return top_coefficient(rep_a.wedge(rep_b))
+        a, b = QMatrix([class_a], len(class_a)), QMatrix([class_b], len(class_b))
+        return (a @ self.cup_matrix(k) @ b.transpose()).rows[0][0]
 
     def cup_matrix(self, k: int) -> QMatrix:
         """Pairing matrix H^k x H^{2n-k} in representative bases: V S W^T."""
@@ -484,10 +486,7 @@ class SymplecticCohomology:
         for k in range(self.s.dim + 1):
             # Summands with r < k - n vanish: L^r kills primitives of
             # degree s once r + s > n, exactly as for forms.
-            primitive_total = sum(
-                self.primitive_ph_plus(k - 2 * r).dim
-                for r in range(max(k - n, 0), k // 2 + 1)
-            )
+            primitive_total = sum(self.primitive_ph_plus(k - 2 * r).dim for r in _r_range(k, n))
             if primitive_total != self.d_plus_dlambda[k].dim:
                 raise InternalInconsistencyError(
                     f"H^{k}_(d+d^Lambda) != direct sum of L^r PH^(k-2r) ({primitive_total})"
@@ -516,4 +515,4 @@ def _induced_l_power(
     lift = s.L_power_block(power, source.degree)
     # Row i: L^power of representative i.
     images = source.quotient.complement.basis @ lift.transpose()
-    return target.quotient.class_matrix(images)
+    return target.class_matrix(images)

@@ -9,8 +9,9 @@ Every operator has one exact representation: a `GradedOperator` of
 blocks.  L and Lambda are built once from integer index tables (wedge
 with omega over the lcm of its denominators, minus contraction with the
 Poisson bivector over the lcm of the pairing's); H is (n - k) I,
-d^Lambda is the block commutator d_{k-2} Lambda_k - Lambda_{k+1} d_k, and
-every Form-level operator applies those blocks.  Each identity is
+d^Lambda is the block commutator d_{k-2} Lambda_k - Lambda_{k+1} d_k,
+d d^Lambda is d_{k-1} d^Lambda_k, and every Form-level operator applies
+those blocks.  Each identity is
 checked as a block equation, one per degree: its residual is one
 `linalg.combination` of the blocks, tested with `is_zero`, and only a
 failing residual is searched for the monomial that the error names.
@@ -84,15 +85,7 @@ def lefschetz_coefficient(r: int, ell: int, n: int, k: int) -> Fraction:
     value = Fraction(m * m)
     if ell % 2:
         value = -value
-    for i in range(r + 1):
-        denom = m - i
-        if denom == 0:
-            raise InternalInconsistencyError(
-                f"degenerate Lefschetz denominator at (r={r}, ell={ell}, n={n}, k={k})"
-            )
-        value /= denom
-    for j in range(ell + 1):
-        denom = m + j
+    for denom in (*range(m - r, m + 1), *range(m, m + ell + 1)):
         if denom == 0:
             raise InternalInconsistencyError(
                 f"degenerate Lefschetz denominator at (r={r}, ell={ell}, n={n}, k={k})"
@@ -132,7 +125,7 @@ class SymplecticStructure:
     """Validated symplectic form on a Lie algebra, with operator blocks.
 
     Eagerly materialized: L, Lambda, H, d^Lambda (as the commutator
-    [d, Lambda]) and the pairing matrix data.  The star blocks live in a
+    [d, Lambda]), d d^Lambda and the pairing matrix data.  The star blocks live in a
     cached property and carry their own identity checks; powers of L are
     cached blocks as well.
     """
@@ -182,7 +175,9 @@ class SymplecticStructure:
             k: combination([(1, d(k - 2), lam(k)), (-1, lam(k + 1), d(k))]) for k in degrees[1:]
         }
         self.dLambda_op = GradedOperator(self.dim, -1, commutators)
-        self._dd_lambda_blocks: dict[int, QMatrix] = {}
+        self.ddLambda_op = GradedOperator(
+            self.dim, 0, {k: d(k - 1) @ self.d_lambda_block(k) for k in degrees[1:]}
+        )
         self._L_powers: dict[tuple[int, int], QMatrix] = {}
         self._primitive: dict[int, Subspace] = {}
         self._minors: tuple[int, list[dict[int, int]]] | None = None
@@ -226,7 +221,7 @@ class SymplecticStructure:
         return -result if form.degree % 2 else result
 
     def dd_lambda(self, form: Form) -> Form:
-        return self.d(self.d_lambda(form))
+        return self.ddLambda_op.apply(form)
 
     # -- block accessors ------------------------------------------------------
 
@@ -247,11 +242,7 @@ class SymplecticStructure:
 
     def dd_lambda_block(self, k: int) -> QMatrix:
         """d d^Lambda as an endomorphism of the degree-k component."""
-        block = self._dd_lambda_blocks.get(k)
-        if block is None:
-            block = self.d_block(k - 1) @ self.d_lambda_block(k)
-            self._dd_lambda_blocks[k] = block
-        return block
+        return self.ddLambda_op.block(k)
 
     def L_power_block(self, r: int, k: int) -> QMatrix:
         """L^r from degree k to degree k + 2r, cached."""

@@ -46,7 +46,7 @@ from .linalg import (
     subspace_sum,
 )
 from .parsing import StructureEquations, parse_structure_equations, render_structure
-from .symplectic import SymplecticStructure, validate_symplectic
+from .symplectic import SymplecticStructure, _r_range, validate_symplectic
 
 __all__ = [
     "CheckResult",
@@ -332,9 +332,7 @@ def operator_identity_suite(
         )
 
     for k in range(dim + 1):
-        total = sum(
-            s.primitive_subspace(k - 2 * r).dim for r in range(max(k - n, 0), k // 2 + 1)
-        )
+        total = sum(s.primitive_subspace(k - 2 * r).dim for r in _r_range(k, n))
         check(
             "lefschetz_direct_sum_dims",
             total == comb(dim, k),
@@ -423,10 +421,7 @@ def equivalence_suite(
             )
             # L^r is injective on H^(0,s) exactly while r + s <= n, so the
             # surviving summands start at r = max(k - n, 0).
-            primitive_total = sum(
-                coh.hrs_group(0, k - 2 * r).dim
-                for r in range(max(k - s.n, 0), k // 2 + 1)
-            )
+            primitive_total = sum(coh.hrs_group(0, k - 2 * r).dim for r in _r_range(k, s.n))
             check(
                 "hlc_implies_primitive_dims",
                 primitive_total == coh.betti[k],

@@ -84,6 +84,25 @@ def test_internal_inconsistency_maps_to_exit_3(monkeypatch, capsys):
     assert "internal inconsistency" in capsys.readouterr().err
 
 
+def test_corrupted_d_lambda_block_exits_3_naming_the_cohomology(monkeypatch, capsys):
+    import sympcoh.report
+    from sympcoh import GradedOperator, QMatrix
+
+    original = sympcoh.report._structure_on
+
+    def corrupted(g, model):
+        s = original(g, model)
+        rows = [list(row) for row in s.d_lambda_block(3).rows]
+        rows[0][0] += 1
+        s.dLambda_op = GradedOperator(s.dim, -1, {**s.dLambda_op.blocks, 3: QMatrix(rows)})
+        return s
+
+    monkeypatch.setattr(sympcoh.report, "_structure_on", corrupted)
+    assert main(["compute", "example1"]) == EXIT_INCONSISTENT
+    err = capsys.readouterr().err
+    assert err.startswith("internal inconsistency: H_(d+dLambda) in degree 3:")
+
+
 def test_verify_small_run(capsys):
     assert main(["verify", "--seed", "3", "--dim", "4", "--count", "1"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -138,6 +139,45 @@ class TestPrimitiveCohomologies:
     def test_example1_ph_d_computes(self, example1):
         for sdeg in range(4):
             assert example1.primitive_ph_d(sdeg) >= 0
+
+
+class TestOneQuotientType:
+    """Every cohomology is a CohomologySpace: one inclusion check, one error type."""
+
+    def test_a_second_ph_formula_outside_its_numerator_raises(self, monkeypatch):
+        # With P taken as all 4-forms, d d^Lambda(P) leaves ker Lambda
+        # (Lambda d d^Lambda = d d^Lambda Lambda), while the first formula,
+        # which never reads P, stays sound.
+        s = structure_from_model(corpus_model("example2"))
+        monkeypatch.setattr(s, "primitive_subspace", lambda k: Subspace.full(comb(s.dim, k)))
+        with pytest.raises(
+            InternalInconsistencyError,
+            match=re.escape("PH_(d+dLambda) as ker [d; Lambda] / d dLambda(P) in degree 4"),
+        ):
+            SymplecticCohomology(s).primitive_ph_plus(4)
+
+    def test_class_matrix_of_a_non_closed_row_raises(self, example1):
+        space = example1.de_rham[1]
+        n = space.ambient_dim
+        units = [[int(i == j) for i in range(n)] for j in range(n)]
+        outside = next(row for row in units if not space.numerator.contains(row))
+        with pytest.raises(InternalInconsistencyError, match=re.escape("H_dR in degree 1")):
+            space.class_matrix(QMatrix([outside]))
+
+    def test_reading_only_the_dimension_builds_no_quotient(self, monkeypatch):
+        import sympcoh.cohomology
+
+        calls = []
+        original = sympcoh.cohomology.quotient_structure
+        monkeypatch.setattr(
+            sympcoh.cohomology,
+            "quotient_structure",
+            lambda w, v: calls.append(v.dim) or original(w, v),
+        )
+        engine = SymplecticCohomology(structure_from_model(corpus_model("example2")))
+        space = engine.primitive_ph_plus(2)
+        assert space.dim == 2 and calls == []
+        assert len(space.representatives) == 2 and len(calls) == 1
 
 
 class TestStackedKernels:
@@ -392,3 +432,22 @@ def test_kunneth_betti_numbers_of_abelian_extensions(name, m):
     assert betti == _convolve(EXAMPLE1_BETTI, [comb(m, j) for j in range(m + 1)])
     if m == 6:
         assert betti[:7] == [1, 9, 37, 93, 163, 218, 238]
+
+
+def test_every_exported_name_resolves():
+    import importlib
+
+    import sympcoh
+
+    modules = [sympcoh] + [
+        importlib.import_module(f"sympcoh.{name}")
+        for name in ("cohomology", "errors", "exterior", "lie", "linalg", "models",
+                     "parsing", "report", "symplectic", "verify")
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if not hasattr(module, name)
+    ]
+    assert missing == []
