@@ -51,10 +51,10 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     Vector,
+    _unchecked_quotient,
     image,
     image_meet_kernel,
     kernel,
-    quotient_structure,
     rref,
     subspace_sum,
 )
@@ -102,7 +102,8 @@ class CohomologySpace:
 
     @cached_property
     def quotient(self) -> QuotientSpace:
-        return quotient_structure(self.denominator, self.numerator)
+        # The constructor has checked the inclusion.
+        return _unchecked_quotient(self.denominator, self.numerator)
 
     @cached_property
     def representatives(self) -> tuple[Form, ...]:

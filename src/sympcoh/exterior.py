@@ -37,6 +37,7 @@ from .errors import DimMismatch, MixedDegree
 from .linalg import QMatrix, SparseRow, Vector, _exact
 
 __all__ = [
+    "MAX_DIM",
     "MultiIndex",
     "monomial_basis",
     "basis_position",
@@ -56,6 +57,17 @@ __all__ = [
 ]
 
 MultiIndex = tuple[int, ...]
+
+MAX_DIM = 14
+"""Largest dimension of a `Form` and of any structure read from text.
+
+The middle-degree blocks grow like C(dim, dim/2): the full report of
+nil14 (nil10 plus four abelian directions), the largest model measured,
+takes about 15 s and 100 MB on a 2-core x86-64 VM, and each further
+pair of dimensions multiplies the middle block sizes by about four.
+`Form` checks it before it builds the C(dim, degree) basis of its
+degree; the text parsers re-export it as `parsing.MAX_DIM`.
+"""
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -127,6 +139,8 @@ class Form:
     __slots__ = ("dim", "degree", "coeffs")
 
     def __init__(self, dim: int, degree: int, coeffs: Mapping[MultiIndex, object] | None = None):
+        if dim > MAX_DIM:
+            raise ValueError(f"dimension {dim} exceeds MAX_DIM = {MAX_DIM}")
         if degree < 0 or degree > dim:
             raise ValueError(f"degree {degree} outside 0..{dim}")
         clean: dict[MultiIndex, Fraction] = {}

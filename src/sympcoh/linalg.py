@@ -94,16 +94,6 @@ def _nonzero(vec: Vector) -> SparseRow:
     return {j: x for j, x in enumerate(vec) if x}
 
 
-def _canon(nums: dict[int, int], den: int) -> IntRow:
-    """The row nums / den in lowest terms; *nums* holds no zeros, den > 0."""
-    if not nums:
-        return {}, 1
-    g = gcd(den, *nums.values())
-    if g == 1:
-        return nums, den
-    return {c: x // g for c, x in nums.items()}, den // g
-
-
 def _int_row(row: SparseRow) -> IntRow:
     """Integer form of a Fraction row: its entries over their lcm."""
     den = lcm(*[x.denominator for x in row.values()])
@@ -158,10 +148,7 @@ class QMatrix:
             ncols = width
         elif ncols is None:
             ncols = 0
-        self._set([_int_row(_nonzero(row)) for row in frozen], ncols)
-
-    def _set(self, rows: Sequence[IntRow], ncols: int) -> None:
-        self.int_rows: tuple[IntRow, ...] = tuple(rows)
+        self.int_rows: tuple[IntRow, ...] = tuple(_int_row(_nonzero(row)) for row in frozen)
         self.nrows: int = len(self.int_rows)
         self.ncols: int = ncols
         self._sparse = self._dense = None
@@ -172,7 +159,10 @@ class QMatrix:
     def _wrap(cls, rows: Sequence[IntRow], ncols: int) -> QMatrix:
         """Matrix over rows already in canonical integer form."""
         m = cls.__new__(cls)
-        m._set(rows, ncols)
+        m.int_rows = rows = tuple(rows)
+        m.nrows = len(rows)
+        m.ncols = ncols
+        m._sparse = m._dense = None
         return m
 
     @classmethod
@@ -182,8 +172,18 @@ class QMatrix:
 
     @classmethod
     def from_ints(cls, rows: Iterable[IntRow], ncols: int) -> QMatrix:
-        """Rows nums / den, each nums without zeros and den > 0; the dicts are taken over."""
-        return cls._wrap([_canon(nums, den) for nums, den in rows], ncols)
+        """Rows nums / den, each nums without zeros and den > 0; the dicts are taken over.
+
+        Each row is brought to lowest terms; a row already there is kept as is.
+        """
+        out = []
+        for nums, den in rows:
+            if not nums:
+                out.append(({}, 1))
+                continue
+            g = gcd(den, *nums.values())
+            out.append((nums, den) if g == 1 else ({c: x // g for c, x in nums.items()}, den // g))
+        return cls._wrap(out, ncols)
 
     @classmethod
     def identity(cls, n: int) -> QMatrix:
@@ -201,6 +201,8 @@ class QMatrix:
     @classmethod
     def stacked(cls, blocks: Sequence[QMatrix]) -> QMatrix:
         """The blocks one above the other; they must share a column count."""
+        if not blocks:
+            raise ValueError("stacked of no blocks")
         ncols = blocks[0].ncols
         if any(b.ncols != ncols for b in blocks):
             raise ValueError("stacked blocks differ in column count")
@@ -250,7 +252,10 @@ class QMatrix:
             f = den // d
             for j, x in nums.items():
                 out[j][i] = x * f
-        return QMatrix.from_ints([(col, den) for col in out], self.nrows)
+        columns = [(col, den) for col in out]
+        if den == 1:  # integer columns already are in lowest terms
+            return QMatrix._wrap(columns, self.nrows)
+        return QMatrix.from_ints(columns, self.nrows)
 
     def is_zero(self) -> bool:
         return not any(nums for nums, _ in self.int_rows)
@@ -332,10 +337,11 @@ def combination(terms: Iterable[tuple]) -> QMatrix:
     """The sum of c * (A @ B) over terms (c, A, B), or of c * A over terms (c, A).
 
     One integer product over whole blocks: each output row is
-    accumulated once, over the lcm of its terms' row denominators, and
-    canonicalized once, so no intermediate product or difference is
-    built.  Every term must give the same shape, and A.ncols must equal
-    B.nrows; a mismatch raises ValueError, as `@` and `+` do.
+    accumulated once, over the lcm of its live terms' row denominators,
+    and brought to lowest terms once, so no intermediate product or
+    difference is built.  Every term must give the same shape, and
+    A.ncols must equal B.nrows; a mismatch raises ValueError, as `@` and
+    `+` do.
     """
     prepared = []
     shape = None
@@ -345,49 +351,60 @@ def combination(terms: Iterable[tuple]) -> QMatrix:
             (b,) = rest
             if a.ncols != b.nrows:
                 raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-            brows = b.int_rows
             # Every row of B over one denominator, once per term.
-            bden = lcm(*[d for _, d in brows])
-            scale = [bden // d for _, d in brows]
+            bden = lcm(*[d for _, d in b.int_rows])
+            if bden == 1:
+                bnums = [nums for nums, _ in b.int_rows]
+            else:
+                bnums = [{c: x * (bden // d) for c, x in nums.items()} for nums, d in b.int_rows]
             term_shape = (a.nrows, b.ncols)
         else:
-            brows, bden, scale = None, 1, None
+            bnums, bden = None, 1
             term_shape = a.shape
         if shape is None:
             shape = term_shape
         elif term_shape != shape:
             raise ValueError(f"shape mismatch {shape} + {term_shape}")
-        f = _exact(coeff)
-        if f:
-            prepared.append((f.numerator, f.denominator * bden, a.int_rows, brows, scale))
+        if type(coeff) is int:
+            p, q = coeff, 1
+        else:
+            f = _exact(coeff)
+            p, q = f.numerator, f.denominator
+        if p:
+            prepared.append((p, q * bden, a.int_rows, bnums))
     if shape is None:
         raise ValueError("combination of no terms")
     out: list[IntRow] = []
     for i in range(shape[0]):
         # Term t contributes p_t nums / (q_t aden), q_t including B's denominator.
+        live = []
         den = 1
-        for _, q, arows, _, _ in prepared:
+        for p, q, arows, bnums in prepared:
             anums, aden = arows[i]
             if anums:
+                live.append((p, q * aden, anums, bnums))
                 den = lcm(den, q * aden)
         acc: dict[int, int] = {}
-        for p, q, arows, brows, scale in prepared:
-            anums, aden = arows[i]
-            if not anums:
-                continue
-            f = p * (den // (q * aden))
-            if brows is None:
+        for p, q, anums, bnums in live:
+            f = p * (den // q)
+            if bnums is None:
                 for c, x in anums.items():
                     acc[c] = acc.get(c, 0) + f * x
                 continue
             for k, x in anums.items():
-                bnums = brows[k][0]
-                if bnums:
-                    g = f * x * scale[k]
-                    for c, y in bnums.items():
+                brow = bnums[k]
+                if brow:
+                    g = f * x
+                    for c, y in brow.items():
                         acc[c] = acc.get(c, 0) + g * y
-        out.append(({c: v for c, v in acc.items() if v}, den))
-    return QMatrix.from_ints(out, shape[1])
+        # Lowest terms in one pass: zeros do not change the gcd.
+        g = gcd(den, *acc.values()) if den != 1 else 1
+        if g == 1:
+            row = {c: v for c, v in acc.items() if v}
+        else:
+            row = {c: v // g for c, v in acc.items() if v}
+        out.append((row, den // g) if row else ({}, 1))
+    return QMatrix._wrap(out, shape[1])
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
@@ -406,7 +423,13 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     anything is left, its first column is a new pivot, which is then
     cleared from the earlier rows the same way.  Each output row is the
     primitive row over its pivot entry.
+
+    An input that already is its own RREF is returned as it is, without
+    elimination (see `_reduced_pivots`).
     """
+    pivots = _reduced_pivots(m.int_rows)
+    if pivots is not None:
+        return m, pivots, len(pivots)
     found: dict[int, dict[int, int]] = {}
     for source, _ in m.int_rows:
         if not source:
@@ -434,6 +457,34 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
         rows.append((row, lead) if lead > 0 else ({c: -x for c, x in row.items()}, -lead))
     rows.extend(({}, 1) for _ in range(m.nrows - len(pivots)))
     return QMatrix._wrap(rows, m.ncols), pivots, len(pivots)
+
+
+def _reduced_pivots(rows: Sequence[IntRow]) -> tuple[int, ...] | None:
+    """The pivot columns of *rows* when they already are in RREF, else None.
+
+    In RREF the nonzero rows come first, their lead columns increase
+    strictly, each lead entry is 1 (numerator equal to the denominator of
+    the canonical row), and no row has an entry in another row's lead
+    column.  One pass over the entries, with the lead columns in a set.
+    """
+    pivots: list[int] = []
+    last = -1
+    for nums, den in rows:
+        if not nums:
+            break
+        p = min(nums)
+        if p <= last or nums[p] != den:
+            return None
+        pivots.append(p)
+        last = p
+    rank = len(pivots)
+    if any(nums for nums, _ in rows[rank:]):
+        return None
+    leads = set(pivots)
+    for nums, _ in rows[:rank]:
+        if len(leads.intersection(nums)) != 1:
+            return None
+    return tuple(pivots)
 
 
 def _eliminate(row: dict[int, int], p: int, prow: dict[int, int]) -> dict[int, int]:
@@ -687,12 +738,17 @@ class QuotientSpace:
     (representative part, w part) and returns the representative
     coordinates, which vanish exactly when x lies in w.  `class_matrix`
     does the same for every row of a block at once.
+
+    Every row of the complement C is orthogonal to every row of the
+    basis W of w, so the Gram matrix of [C; W] is block diagonal, and
+    the rows of its inverse that write x = C^T a + W^T b as a are those
+    of (C C^T)^{-1}: the solver is (C C^T)^{-1} C, and only the c x c
+    Gram block is inverted, on the first class coordinates asked for.
     """
 
     total: Subspace
     sub: Subspace
     complement: Subspace  # its basis rows are the representatives
-    _solver: QMatrix | None  # x in v -> its representative coordinates
 
     @property
     def dim(self) -> int:
@@ -701,6 +757,14 @@ class QuotientSpace:
     @property
     def representatives(self) -> tuple[Vector, ...]:
         return self.complement.basis.rows
+
+    @cached_property
+    def _solver(self) -> QMatrix | None:
+        """x in v -> its representative coordinates; None for the zero quotient."""
+        if not self.complement.dim:
+            return None
+        c = self.complement.basis
+        return inverse(c @ c.transpose()) @ c
 
     def coordinates(self, x: Sequence) -> Vector:
         return self.class_matrix(QMatrix([x])).column(0)
@@ -729,26 +793,22 @@ class QuotientSpace:
 
 
 def quotient_structure(w: Subspace, v: Subspace) -> QuotientSpace:
-    """Quotient structure for v / w (requires w <= v).
+    """Quotient structure for v / w (requires w <= v, else NotSubspace)."""
+    _check_ambient(w, v)
+    if not v.contains_subspace(w):
+        raise NotSubspace("the denominator is not contained in the numerator")
+    return _unchecked_quotient(w, v)
+
+
+def _unchecked_quotient(w: Subspace, v: Subspace) -> QuotientSpace:
+    """`quotient_structure` for a caller that has already checked w <= v.
 
     The representatives C span v meet the orthogonal complement of w,
     taken as span(ker(W V^T) V) for the basis rows V of v and W of w
     (C = V when w = 0).
-    Every row of C is orthogonal to every row of W, so the Gram matrix
-    of [C; W] is block diagonal, and the rows of its inverse that write
-    x = C^T a + W^T b as a are those of (C C^T)^{-1}: the solver is
-    (C C^T)^{-1} C, and only the c x c Gram block is inverted.
     """
-    _check_ambient(w, v)
-    if not v.contains_subspace(w):
-        raise NotSubspace("the denominator is not contained in the numerator")
     if w.dim:
         complement = Subspace.spanned(kernel(w.basis @ v.basis.transpose()).basis @ v.basis)
     else:
         complement = v  # every vector is orthogonal to the zero space
-    if complement.dim:
-        c = complement.basis
-        solver = inverse(c @ c.transpose()) @ c
-    else:
-        solver = None
-    return QuotientSpace(v, w, complement, solver)
+    return QuotientSpace(v, w, complement)

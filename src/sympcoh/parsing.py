@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EntryCountMismatch, IndexOutOfRange, ParseError
-from .exterior import Form, sort_with_sign
+from .exterior import MAX_DIM, Form, sort_with_sign
 
 __all__ = [
     "MAX_DIM",
@@ -43,16 +43,6 @@ __all__ = [
     "render_structure",
     "StructureEquations",
 ]
-
-
-MAX_DIM = 14
-"""Largest dimension accepted from text.
-
-The middle-degree blocks grow like C(dim, dim/2): the full report of
-nil14 (nil10 plus four abelian directions), the largest model measured,
-takes about 15 s and 100 MB on a 2-core x86-64 VM, and each further
-pair of dimensions multiplies the middle block sizes by about four.
-"""
 
 
 def _check_dim(dim: int) -> None:

@@ -168,16 +168,34 @@ class TestOneQuotientType:
         import sympcoh.cohomology
 
         calls = []
-        original = sympcoh.cohomology.quotient_structure
+        original = sympcoh.cohomology._unchecked_quotient
         monkeypatch.setattr(
             sympcoh.cohomology,
-            "quotient_structure",
+            "_unchecked_quotient",
             lambda w, v: calls.append(v.dim) or original(w, v),
         )
         engine = SymplecticCohomology(structure_from_model(corpus_model("example2")))
         space = engine.primitive_ph_plus(2)
         assert space.dim == 2 and calls == []
         assert len(space.representatives) == 2 and len(calls) == 1
+
+    def test_the_class_solver_is_built_on_first_use(self, monkeypatch):
+        import sympcoh.linalg
+
+        inversions = []
+        original = sympcoh.linalg.inverse
+        monkeypatch.setattr(
+            sympcoh.linalg, "inverse", lambda m: inversions.append(m.shape) or original(m)
+        )
+        engine = SymplecticCohomology(structure_from_model(corpus_model("example1")))
+        space = engine.de_rham[2]
+        assert len(space.representatives) == space.dim == 4
+        assert inversions == []
+        closed = space.numerator.basis
+        first = space.class_matrix(closed)
+        assert inversions == [(4, 4)]
+        assert space.class_matrix(closed) == first
+        assert inversions == [(4, 4)]
 
 
 class TestStackedKernels:

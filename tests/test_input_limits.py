@@ -85,6 +85,22 @@ def test_oversized_given_dimensions_rejected(dim, no_large_bases):
         parse_model_text(f"structure = 0,0\ndim = {dim}\n")
 
 
+@pytest.mark.parametrize("dim, degree", [(15, 1), (30, 15), (10**9, 2)])
+def test_bare_forms_above_max_dim_rejected(dim, degree, no_large_bases):
+    """`Form` checks the bound before it builds the C(dim, degree) basis."""
+    with pytest.raises(ValueError, match="MAX_DIM"):
+        Form(dim, degree, {tuple(range(1, degree + 1)): 1})
+    with pytest.raises(ValueError, match="MAX_DIM"):
+        Form.monomial(dim, range(1, degree + 1))
+
+
+def test_one_max_dim_for_forms_and_text():
+    import sympcoh.parsing
+
+    assert sympcoh.exterior.MAX_DIM is sympcoh.parsing.MAX_DIM is MAX_DIM
+    assert Form(MAX_DIM, 2, {(1, MAX_DIM): 1}).coeffs == {(1, MAX_DIM): 1}
+
+
 @pytest.mark.parametrize("text", ["0", "0^0", "0^1"])
 def test_dimension_below_two_rejected(text):
     with pytest.raises(ParseError, match="below 2"):

@@ -59,6 +59,22 @@ class TestRref:
         assert reduced.shape == (0, 3)
         assert rank == 0
 
+    @pytest.mark.parametrize(
+        "rows, pivots",
+        [
+            ([[1, F("1/2"), 0, 0, -3], [0, 0, 1, 0, 2], [0, 0, 0, 1, F("-5/7")], [0] * 5],
+             (0, 2, 3)),
+            ([[0, 1, 0], [0, 0, 1]], (1, 2)),
+            ([[0, 0], [0, 0]], ()),
+        ],
+    )
+    def test_reduced_input_comes_back_as_it_is(self, rows, pivots):
+        m = QMatrix(rows)
+        reduced, found, rank = rref(m)
+        assert reduced == m
+        assert found == pivots
+        assert rank == len(pivots)
+
 
 class TestKernelImage:
     def test_kernel_identity_trivial(self):
@@ -288,6 +304,10 @@ class TestSparseRows:
         assert QMatrix.stacked([a, b]) == QMatrix([[1, 0, 1], [0, 1, 1], [0, 0, 0]])
         with pytest.raises(ValueError, match="column count"):
             QMatrix.stacked([a, QMatrix.identity(2)])
+
+    def test_stacked_of_no_blocks(self):
+        with pytest.raises(ValueError, match="stacked of no blocks"):
+            QMatrix.stacked([])
 
     def test_apply_sparse_matches_apply(self):
         m = QMatrix([[1, 0, F("1/2")], [0, 0, 0], [3, -1, 0]])

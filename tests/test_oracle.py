@@ -63,6 +63,26 @@ def test_operator_blocks_match_sympy(name):
                 assert_rref_matches(block)
 
 
+# In RREF but for one defect each: the reduced-input check of `rref` must
+# see every one of them and eliminate, so each comes back as sympy's RREF.
+# Each key names the RREF condition its input breaks.
+NEARLY_REDUCED = {
+    "lead entry not 1": [[1, 2, 0, 3], [0, 0, 2, -1], [0, 0, 0, 0]],
+    "nonzero above a later lead": [[1, 2, 0, 3], [0, 0, 1, -1], [0, 0, 0, 1]],
+    "zero row before a nonzero row": [[1, 2, 0, 3], [0, 0, 0, 0], [0, 0, 1, -1]],
+    "equal lead columns": [[1, 2, 0, 3], [1, 0, 0, 0], [0, 0, 0, 0]],
+    "decreasing lead columns": [[0, 0, 1, -1], [1, 2, 0, 3], [0, 0, 0, 0]],
+    "entries in two lead columns": [[1, 0, 0, 3], [0, 1, 0, 1], [1, 1, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("defect", list(NEARLY_REDUCED))
+def test_nearly_reduced_inputs_match_sympy(defect):
+    m = QMatrix(NEARLY_REDUCED[defect])
+    assert_rref_matches(m)
+    assert rref(m)[0] != m
+
+
 entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 # Denominators up to 10^6: the integer rows then carry wide lcms and contents.
 wide_entries = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
