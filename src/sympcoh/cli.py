@@ -22,6 +22,7 @@ from .errors import (
     MathValidationError,
 )
 from .models import corpus, corpus_model, corpus_names, load_model
+from .parsing import parse_structure_equations
 from .report import run_compute
 from .verify import BASE_STRUCTURES, run_verify
 
@@ -73,10 +74,13 @@ def _resolve_model(spec: str):
 
 def _cmd_compute(args) -> int:
     model = _resolve_model(args.model)
+    if args.degree is not None:
+        # Checked before the report is built, which can take seconds; a
+        # bad structure still fails first, as it would in the report.
+        dim = parse_structure_equations(model.structure, model.dim).dim
+        if not 0 <= args.degree <= dim:
+            raise InputError(f"--degree must lie in 0..{dim}, got {args.degree}")
     report = run_compute(model)
-    dim = report.data["model"]["dim"]
-    if args.degree is not None and not 0 <= args.degree <= dim:
-        raise InputError(f"--degree must lie in 0..{dim}, got {args.degree}")
     output = report.to_json(args.degree) if args.json else report.to_text(args.degree)
     if args.out is not None:
         try:

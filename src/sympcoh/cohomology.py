@@ -58,7 +58,7 @@ from .linalg import (
     rref,
     subspace_sum,
 )
-from .symplectic import SymplecticStructure, _r_range
+from .symplectic import SymplecticStructure, _memo, _r_range
 
 __all__ = [
     "CohomologySpace",
@@ -173,17 +173,10 @@ class HlcResult:
 
 
 class SymplecticCohomology:
-    """All cohomological invariants of one symplectic structure, cached."""
+    """All cohomological invariants of one symplectic structure, memoized."""
 
     def __init__(self, s: SymplecticStructure):
         self.s = s
-        self._hrs: dict[tuple[int, int], HrsGroup] = {}
-        self._ph_plus: dict[int, CohomologySpace] = {}
-        self._primitive_closed: dict[int, Subspace] = {}
-        self._dlambda_images: dict[int, Subspace] = {}
-        self._decompositions: dict[int, DecompositionVerdict] = {}
-        self._hlc: HlcResult | None = None
-        self._dd_lemma: tuple[bool, ...] | None = None
 
     # -- the four cohomologies -------------------------------------------
 
@@ -199,12 +192,10 @@ class SymplecticCohomology:
     def betti(self) -> tuple[int, ...]:
         return tuple(space.dim for space in self.de_rham)
 
+    @_memo
     def _dlambda_image(self, k: int) -> Subspace:
         """im d^Lambda_k, shared by the d^Lambda and d d^Lambda cohomologies."""
-        space = self._dlambda_images.get(k)
-        if space is None:
-            space = self._dlambda_images[k] = image(self.s.d_lambda_block(k))
-        return space
+        return image(self.s.d_lambda_block(k))
 
     @cached_property
     def dlambda_dims(self) -> tuple[int, ...]:
@@ -240,6 +231,7 @@ class SymplecticCohomology:
 
     # -- primitive cohomologies --------------------------------------------
 
+    @_memo
     def primitive_ph_plus(self, sdeg: int) -> CohomologySpace:
         """Primitive (d + d^Lambda)-cohomology in degree sdeg.
 
@@ -249,9 +241,6 @@ class SymplecticCohomology:
         where P = ker Lambda is the primitive subspace; the two dimensions
         are asserted equal, and the first quotient is returned.
         """
-        cached = self._ph_plus.get(sdeg)
-        if cached is not None:
-            return cached
         s = self.s
         prim = s.primitive_subspace(sdeg)
         d, lam, ddl = s.d_block(sdeg), s.lambda_block(sdeg), s.dd_lambda_block(sdeg)
@@ -269,17 +258,14 @@ class SymplecticCohomology:
                 f"the two primitive (d+d^Lambda) formulas disagree in degree {sdeg}: "
                 f"{space.dim} vs {second.dim}"
             )
-        self._ph_plus[sdeg] = space
         return space
 
+    @_memo
     def _closed_primitive(self, sdeg: int) -> Subspace:
         """ker [d; d^Lambda; Lambda] in degree sdeg, shared by both primitive cohomologies."""
-        space = self._primitive_closed.get(sdeg)
-        if space is None:
-            s = self.s
-            blocks = [s.d_block(sdeg), s.d_lambda_block(sdeg), s.lambda_block(sdeg)]
-            space = self._primitive_closed[sdeg] = kernel(QMatrix.stacked(blocks))
-        return space
+        s = self.s
+        blocks = [s.d_block(sdeg), s.d_lambda_block(sdeg), s.lambda_block(sdeg)]
+        return kernel(QMatrix.stacked(blocks))
 
     def primitive_ph_d(self, sdeg: int) -> int:
         """dim of the primitive d-cohomology in degree sdeg.
@@ -302,48 +288,39 @@ class SymplecticCohomology:
 
     # -- the (r, s) subgroups ------------------------------------------------
 
+    @_memo
     def hrs_group(self, r: int, s: int) -> HrsGroup:
-        cached = self._hrs.get((r, s))
-        if cached is not None:
-            return cached
         degree = 2 * r + s
         if r < 0 or s < 0 or degree > self.s.dim or s > self.s.dim:
-            group = HrsGroup(r, s, degree, 0, Subspace.zero(0), ())
-        elif not self.s.primitive_subspace(s).dim or r + s > self.s.n:
+            return HrsGroup(r, s, degree, 0, Subspace.zero(0), ())
+        if not self.s.primitive_subspace(s).dim or r + s > self.s.n:
             # Zero by degree: L^r kills primitive s-forms once r + s > n.
-            group = HrsGroup(r, s, degree, 0, Subspace.zero(self.betti[degree]), ())
-        else:
-            space = self.de_rham[degree]
-            # L^r P^s meet ker d, with L^r P^s the image of M = L^r_s P^T.
-            prim = self.s.primitive_subspace(s)
-            lifted = self.s.L_power_block(r, s) @ prim.basis.transpose()
-            closed_part = image_meet_kernel(lifted, self.s.d_block(degree))
-            classes = Subspace.spanned(space.class_matrix(closed_part.basis).transpose())
-            representatives = tuple(
-                Form.from_sparse(self.s.dim, degree, row)
-                for row in (classes.basis @ space.quotient.complement.basis).sparse_rows
-            )
-            group = HrsGroup(r, s, degree, classes.dim, classes, representatives)
-        self._hrs[(r, s)] = group
-        return group
+            return HrsGroup(r, s, degree, 0, Subspace.zero(self.betti[degree]), ())
+        space = self.de_rham[degree]
+        # L^r P^s meet ker d, with L^r P^s the image of M = L^r_s P^T.
+        prim = self.s.primitive_subspace(s)
+        lifted = self.s.L_power_block(r, s) @ prim.basis.transpose()
+        closed_part = image_meet_kernel(lifted, self.s.d_block(degree))
+        classes = Subspace.spanned(space.class_matrix(closed_part.basis).transpose())
+        representatives = tuple(
+            Form.from_sparse(self.s.dim, degree, row)
+            for row in (classes.basis @ space.quotient.complement.basis).sparse_rows
+        )
+        return HrsGroup(r, s, degree, classes.dim, classes, representatives)
 
+    @_memo
     def decomposition(self, degree: int) -> DecompositionVerdict:
         """Sum of all H^(r,s) with 2r+s = degree: directness and fullness."""
-        cached = self._decompositions.get(degree)
-        if cached is not None:
-            return cached
         groups = [self.hrs_group(r, degree - 2 * r) for r in range(degree // 2 + 1)]
         summands = {(group.r, group.s): group.dim for group in groups}
         sum_dim = Subspace.spanned(QMatrix.stacked([group.classes.basis for group in groups])).dim
-        verdict = DecompositionVerdict(
+        return DecompositionVerdict(
             degree=degree,
             summand_dims=summands,
             sum_dim=sum_dim,
             direct=sum_dim == sum(summands.values()),
             full=sum_dim == self.betti[degree],
         )
-        self._decompositions[degree] = verdict
-        return verdict
 
     # -- maps induced on cohomology -------------------------------------------
 
@@ -357,10 +334,9 @@ class SymplecticCohomology:
             self.s, power, self.de_rham[from_degree], self.de_rham[from_degree + 2 * power]
         )
 
+    @_memo
     def hlc(self) -> HlcResult:
         """Hard Lefschetz: L^k iso on cohomology for every k in 0..n."""
-        if self._hlc is not None:
-            return self._hlc
         per_degree = []
         n = self.s.n
         for k in range(n + 1):
@@ -372,21 +348,18 @@ class SymplecticCohomology:
             matrix = self.l_cohomology_matrix(k, n - k)
             _, _, rank = rref(matrix)
             per_degree.append(rank == b_low)
-        self._hlc = HlcResult(tuple(per_degree), all(per_degree))
-        return self._hlc
+        return HlcResult(tuple(per_degree), all(per_degree))
 
+    @_memo
     def dd_lemma_per_degree(self) -> tuple[bool, ...]:
         """Injectivity of H_{d+d^Lambda} -> H_dR, degree by degree."""
-        if self._dd_lemma is not None:
-            return self._dd_lemma
         results = []
         for k in range(self.s.dim + 1):
             space = self.d_plus_dlambda[k]
             matrix = self.de_rham[k].class_matrix(space.quotient.complement.basis)
             _, _, rank = rref(matrix)
             results.append(rank == space.dim)
-        self._dd_lemma = tuple(results)
-        return self._dd_lemma
+        return tuple(results)
 
     def dd_lemma(self) -> bool:
         return all(self.dd_lemma_per_degree())

@@ -266,11 +266,8 @@ class QMatrix:
         return combination([(1, self, other)])
 
     def apply_sparse(self, vec: Mapping[int, Fraction]) -> SparseRow:
-        """Matrix times a column vector given by its nonzero entries."""
-        return self._apply_int(*_int_row(vec))
-
-    def _apply_int(self, vec: dict[int, int], vden: int) -> SparseRow:
-        """Matrix times the column vector vec / vden, as {row: Fraction}."""
+        """Matrix times a column vector given by its nonzero entries, as {row: Fraction}."""
+        vec, vden = _int_row(vec)
         out: SparseRow = {}
         size = len(vec)
         for i, (nums, den) in enumerate(self.int_rows):
@@ -304,19 +301,10 @@ class QMatrix:
         return combination([(1, self), (-1, other)])
 
     def __neg__(self) -> QMatrix:
-        return QMatrix._wrap(
-            [({j: -x for j, x in nums.items()}, den) for nums, den in self.int_rows], self.ncols
-        )
+        return combination([(-1, self)])
 
     def scaled(self, factor) -> QMatrix:
-        f = _exact(factor)
-        if not f:
-            return QMatrix.zeros(self.nrows, self.ncols)
-        p, q = f.numerator, f.denominator
-        return QMatrix.from_ints(
-            [({j: p * x for j, x in nums.items()}, q * den) for nums, den in self.int_rows],
-            self.ncols,
-        )
+        return combination([(factor, self)])
 
     # -- comparison ----------------------------------------------------
 

@@ -13,12 +13,14 @@ A model file is a flat `key = value` text format:
 `structure` uses the structure-equation grammar, `omega` and `form.*`
 the form-sum grammar.  `flag` lines may repeat; `dim` and `omega` are
 optional (dimension is inferred from the structure entry count, and a
-model without omega only gets Lie-algebra-level output).  A `dim` above
+model without omega only gets Lie-algebra-level output).  A `dim` is an
+optional `-` and ASCII digits; one that is not positive or lies above
 `parsing.MAX_DIM` is rejected on its line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import InputError, ModelFileError
@@ -82,10 +84,10 @@ def parse_model_text(text: str, default_name: str = "model") -> ModelFile:
         if key == "name":
             name = value
         elif key == "dim":
-            try:
-                dim = int(value)
-            except ValueError:
-                raise ModelFileError(f"line {lineno}: dim must be an integer") from None
+            # int() alone would also read "0_6" and non-ASCII digits such as "٦".
+            if not re.fullmatch("-?[0-9]+", value):
+                raise ModelFileError(f"line {lineno}: dim must be an integer")
+            dim = int(value)
             if dim <= 0:
                 raise ModelFileError(f"line {lineno}: dim must be positive")
             if dim > MAX_DIM:

@@ -9,7 +9,8 @@ Three suites, all exact:
   `linalg.combination`, recorded one source monomial (column) at a
   time: a zero residual records its C(dim, k) passes in one step, and
   only a nonzero one is split into columns; the star identities on
-  every structure; and Lefschetz reassembly on seeded random forms;
+  every structure; and the Lefschetz decomposition of seeded random
+  forms, checked against the linear-solve route;
 * theorems: the degree-2 decomposition, the vanishing intersection
   H^(k,0) meet H^(0,2k), H^(r,s) = L^r H^(0,s) in low total degree, and
   the one-dimensionality of H^(r,0);
@@ -32,7 +33,7 @@ from fractions import Fraction
 from math import comb
 
 from .cohomology import SymplecticCohomology, is_abelian
-from .errors import SympcohError
+from .errors import InternalInconsistencyError, SympcohError
 from .exterior import Form, monomial_basis, nonzero_columns
 from .lie import LieAlgebra, build_lie_algebra
 from .linalg import (
@@ -328,7 +329,7 @@ def operator_identity_suite(
         check.guard(
             "lefschetz_reassembly",
             f"{label} degree {k}",
-            lambda form=form: s.lefschetz_decompose(form),
+            lambda form=form: _lefschetz_against_projection(s, form),
         )
 
     for k in range(dim + 1):
@@ -351,6 +352,16 @@ def operator_identity_suite(
             "L_power_form_isomorphism",
             rank == comb(dim, n - k),
             f"{label} L^{k} on degree {n - k}",
+        )
+
+
+def _lefschetz_against_projection(s: SymplecticStructure, form: Form) -> None:
+    """Decompose *form* by the closed-form projectors and by the linear solve."""
+    parts = s.lefschetz_decompose(form)
+    if parts.components != s.lefschetz_decompose_by_projection(form).components:
+        raise InternalInconsistencyError(
+            "closed-form Lefschetz projectors disagree with the linear-solve "
+            f"decomposition of the degree-{form.degree} input"
         )
 
 

@@ -152,10 +152,13 @@ def test_meet_dimension_matches_subspace_intersect(engine):
     assert all(engine.intersection_remark_check().values())
 
 
-def test_a_nonzero_meet_fails_the_intersection_check(engine):
+def test_a_nonzero_meet_fails_the_intersection_check(engine, monkeypatch):
     """With H^(0,2k) replaced by H^(k,0), the meet is H^(k,0) itself."""
     fresh = SymplecticCohomology(engine.s)
-    fresh._hrs[(0, 2)] = fresh.hrs_group(1, 0)
+    hrs_group = fresh.hrs_group
+    monkeypatch.setattr(
+        fresh, "hrs_group", lambda r, s: hrs_group(*((1, 0) if (r, s) == (0, 2) else (r, s)))
+    )
     with pytest.raises(InternalInconsistencyError, match=r"H\^\(1,0\) meet H\^\(0,2\) is 1-dim"):
         fresh.intersection_remark_check()
 

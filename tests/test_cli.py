@@ -157,6 +157,12 @@ def test_compute_degree_outside_the_dimension_is_input_error(degree, capsys):
     assert captured.out == ""
 
 
+def test_compute_degree_is_checked_before_the_report(monkeypatch, capsys):
+    monkeypatch.setattr("sympcoh.cli.run_compute", lambda model: pytest.fail("built the report"))
+    assert main(["compute", "example1", "--degree", "99"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: --degree must lie in 0..6, got 99")
+
+
 def test_compute_degree_bounds_are_inclusive(capsys):
     for degree in ("0", "6"):
         assert main(["compute", "example1", "--json", "--degree", degree]) == EXIT_OK

@@ -56,6 +56,16 @@ class TestModelFiles:
         with pytest.raises(ModelFileError):
             parse_model_text("structure = 0,0\nstructure = 0,0\n")
 
+    @pytest.mark.parametrize("value", ["\u0666", "0_6", "+6", "6.0", "--6"])
+    def test_dim_is_ascii_digits_only(self, value):
+        with pytest.raises(ModelFileError, match="line 2: dim must be an integer"):
+            parse_model_text(f"structure = 0^6\ndim = {value}\n")
+
+    @pytest.mark.parametrize("value", ["0", "-6"])
+    def test_dim_must_be_positive(self, value):
+        with pytest.raises(ModelFileError, match="dim must be positive"):
+            parse_model_text(f"structure = 0^6\ndim = {value}\n")
+
     def test_bad_line(self):
         with pytest.raises(ModelFileError):
             parse_model_text("structure 0,0\n")

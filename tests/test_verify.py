@@ -7,6 +7,7 @@ import pytest
 
 from sympcoh import (
     InternalInconsistencyError,
+    LefschetzComponents,
     SymplecticCohomology,
     build_lie_algebra,
     corpus_model,
@@ -146,6 +147,22 @@ def test_corrupted_star_block_raises(k, factor):
     s.pairing_matrix = lambda j: gram(j).scaled(factor) if j == k else gram(j)
     with pytest.raises(InternalInconsistencyError, match=r"on degree \d at e\("):
         s.star_op
+
+
+def test_projection_route_disagreement_fails_lefschetz_reassembly(monkeypatch):
+    s = structure_from_model(corpus_model("example1"))
+    projection = s.lefschetz_decompose_by_projection
+
+    def doubled(form):
+        right = projection(form)
+        components = {r: b * 2 for r, b in right.components.items()}
+        return LefschetzComponents(right.degree, right.half_dim, components)
+
+    monkeypatch.setattr(s, "lefschetz_decompose_by_projection", doubled)
+    result = _suite(s)["lefschetz_reassembly"]
+    assert result.failed
+    assert result.passed + result.failed == 7
+    assert all("disagree with the linear-solve decomposition" in ctx for ctx in result.failures)
 
 
 def test_random_dim10_structure_builds_and_its_star_validates():
