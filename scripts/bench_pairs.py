@@ -7,9 +7,11 @@
         --change-commit "the commit that adds this file"
 
 Each checkout runs its own unchanged `perfbench/run.py --trace 0` for
-the `run_seconds` that BENCHMARK.json fixes; a claim needs at least 10
-pairs.  Pair i uses seed first_seed + i on both sides; the parent runs
-first in even pairs and the change first in odd pairs.  For every
+the `run_seconds` that BENCHMARK.json fixes.  A claim needs at least 10
+pairs, a workload among the `--workload` values and a metric among
+BENCHMARK.json's end-to-end names; without one, a single pair will do.
+Pair i uses seed first_seed + i on both sides; the parent runs first in
+even pairs and the change first in odd pairs.  For every
 end-to-end metric of BENCHMARK.json the file records each side's
 quartiles (inclusive method) and raw runs, and in how many pairs the
 change was better (ties count for neither side); per workload it
@@ -43,6 +45,8 @@ def commit_of(checkout: Path) -> str:
 
 
 def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:  # statistics.quantiles needs two points
+        values = values * 2
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": round(q1, 5), "median": round(median, 5), "q3": round(q3, 5)}
 
@@ -85,10 +89,19 @@ def main() -> int:
     parser.add_argument("--machine", default=f"{os.cpu_count()}-core {platform.machine()}")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
-    if args.pairs < 10:
-        parser.error("a claim needs at least 10 pairs")
-
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    if args.claim:
+        workload, metric, _ = args.claim
+        if args.pairs < 10:
+            parser.error("a claim needs at least 10 pairs")
+        if workload not in args.workload:
+            parser.error(f"claimed workload {workload!r} is not among the --workload values")
+        metrics = [m["name"] for m in spec["end_to_end"]]
+        if metric not in metrics:
+            parser.error(f"claimed metric {metric!r} is not an end-to-end metric: {metrics}")
+    elif args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
     seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     workloads = {}

@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 from typing import Mapping, Sequence
 
 from .errors import AmbientMismatch, InternalInconsistencyError, NotInSubspace, NotUnimodular
@@ -105,12 +106,14 @@ class CohomologySpace:
         # The constructor has checked the inclusion.
         return _unchecked_quotient(self.denominator, self.numerator)
 
+    @property
+    def representative_rows(self) -> QMatrix:
+        """The representatives as lex coordinate rows, one per basis class."""
+        return self.quotient.complement.basis
+
     @cached_property
     def representatives(self) -> tuple[Form, ...]:
-        return tuple(
-            Form.from_sparse(self.ambient_dim, self.degree, row)
-            for row in self.quotient.complement.basis.sparse_rows
-        )
+        return _forms(self.ambient_dim, self.degree, self.representative_rows)
 
     def class_matrix(self, rows: QMatrix) -> QMatrix:
         """Class coordinates of every row of *rows*, one column per row."""
@@ -145,16 +148,30 @@ def is_abelian(g: LieAlgebra) -> bool:
     return all(entry.is_zero() for entry in g.structure.differentials)
 
 
+def _forms(dim: int, degree: int, rows: QMatrix) -> tuple[Form, ...]:
+    return tuple(Form.from_sparse(dim, degree, row) for row in rows.sparse_rows)
+
+
 @dataclass(frozen=True)
 class HrsGroup:
-    """Classes of omega^r wedge (closed primitive s-form) inside H^{2r+s}."""
+    """Classes of omega^r wedge (closed primitive s-form) inside H^{2r+s}.
+
+    *representative_rows* holds one lex coordinate row per basis class,
+    forms over dimension *ambient_dim*; `representatives` builds their
+    Forms on first read.
+    """
 
     r: int
     s: int
     degree: int
     dim: int
     classes: Subspace
-    representatives: tuple[Form, ...]
+    representative_rows: QMatrix
+    ambient_dim: int
+
+    @cached_property
+    def representatives(self) -> tuple[Form, ...]:
+        return _forms(self.ambient_dim, self.degree, self.representative_rows)
 
 
 @dataclass(frozen=True)
@@ -291,22 +308,23 @@ class SymplecticCohomology:
     @_memo
     def hrs_group(self, r: int, s: int) -> HrsGroup:
         degree = 2 * r + s
-        if r < 0 or s < 0 or degree > self.s.dim or s > self.s.dim:
-            return HrsGroup(r, s, degree, 0, Subspace.zero(0), ())
+        dim = self.s.dim
+        if r < 0 or s < 0 or degree > dim or s > dim:
+            return HrsGroup(r, s, degree, 0, Subspace.zero(0), QMatrix.zeros(0, 0), dim)
         if not self.s.primitive_subspace(s).dim or r + s > self.s.n:
             # Zero by degree: L^r kills primitive s-forms once r + s > n.
-            return HrsGroup(r, s, degree, 0, Subspace.zero(self.betti[degree]), ())
+            return HrsGroup(
+                r, s, degree, 0, Subspace.zero(self.betti[degree]),
+                QMatrix.zeros(0, comb(dim, degree)), dim,
+            )
         space = self.de_rham[degree]
         # L^r P^s meet ker d, with L^r P^s the image of M = L^r_s P^T.
         prim = self.s.primitive_subspace(s)
         lifted = self.s.L_power_block(r, s) @ prim.basis.transpose()
         closed_part = image_meet_kernel(lifted, self.s.d_block(degree))
         classes = Subspace.spanned(space.class_matrix(closed_part.basis).transpose())
-        representatives = tuple(
-            Form.from_sparse(self.s.dim, degree, row)
-            for row in (classes.basis @ space.quotient.complement.basis).sparse_rows
-        )
-        return HrsGroup(r, s, degree, classes.dim, classes, representatives)
+        rows = classes.basis @ space.representative_rows
+        return HrsGroup(r, s, degree, classes.dim, classes, rows, dim)
 
     @_memo
     def decomposition(self, degree: int) -> DecompositionVerdict:
@@ -356,7 +374,7 @@ class SymplecticCohomology:
         results = []
         for k in range(self.s.dim + 1):
             space = self.d_plus_dlambda[k]
-            matrix = self.de_rham[k].class_matrix(space.quotient.complement.basis)
+            matrix = self.de_rham[k].class_matrix(space.representative_rows)
             _, _, rank = rref(matrix)
             results.append(rank == space.dim)
         return tuple(results)
@@ -379,8 +397,8 @@ class SymplecticCohomology:
         """Pairing matrix H^k x H^{2n-k} in representative bases: V S W^T."""
         if not self.properties.unimodular:
             raise NotUnimodular("cup pairing on classes needs a unimodular algebra")
-        low = self.de_rham[k].quotient.complement.basis
-        high = self.de_rham[self.s.dim - k].quotient.complement.basis
+        low = self.de_rham[k].representative_rows
+        high = self.de_rham[self.s.dim - k].representative_rows
         return low @ wedge_pairing(self.s.dim, k) @ high.transpose()
 
     # -- theorem-backed consistency checks (assert mode) --------------------------
@@ -488,5 +506,5 @@ def _induced_l_power(
     """Matrix of L^power from *source* to *target* in class coordinates."""
     lift = s.L_power_block(power, source.degree)
     # Row i: L^power of representative i.
-    images = source.quotient.complement.basis @ lift.transpose()
+    images = source.representative_rows @ lift.transpose()
     return target.class_matrix(images)

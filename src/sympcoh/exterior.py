@@ -30,11 +30,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimMismatch, MixedDegree
-from .linalg import QMatrix, SparseRow, Vector, _exact
+from .linalg import IntRow, QMatrix, SparseRow, Vector, _exact, _int_row
 
 __all__ = [
     "MAX_DIM",
@@ -54,6 +54,7 @@ __all__ = [
     "operator_matrix",
     "nonzero_columns",
     "render_form",
+    "render_row",
 ]
 
 MultiIndex = tuple[int, ...]
@@ -492,25 +493,44 @@ def nonzero_columns(
     ]
 
 
-def _render_monomial(key: MultiIndex, dim: int, prefix: str) -> str:
+@lru_cache(maxsize=None)
+def _monomial_names(dim: int, degree: int, prefix: str) -> tuple[str, ...]:
+    """Text of each lex basis monomial; indices are bracketed above dim 9."""
+    keys = monomial_basis(dim, degree)
     if dim <= 9:
-        return prefix + "".join(str(i) for i in key)
-    return prefix + "[" + ",".join(str(i) for i in key) + "]"
+        return tuple(prefix + "".join(map(str, key)) for key in keys)
+    return tuple(prefix + "[" + ",".join(map(str, key)) + "]" for key in keys)
+
+
+def render_row(dim: int, degree: int, row: IntRow, prefix: str = "e") -> str:
+    """Canonical text of the form over *dim* whose lex degree-*degree* row is (nums, den).
+
+    A signed sum of c*e{indices} terms in lex order, each c written as
+    str(Fraction(x, den)) writes it; "0" for the zero form and the bare
+    value for a degree-0 form.
+    """
+    nums, den = row
+    if not nums:
+        return "0"
+    if degree == 0:
+        x = nums[0]
+        g = gcd(x, den)
+        return str(x // g) if g == den else f"{x // g}/{den // g}"
+    names = _monomial_names(dim, degree, prefix)
+    parts: list[str] = []
+    for c in sorted(nums):
+        x = nums[c]
+        a = -x if x < 0 else x
+        if a == den:
+            body = names[c]
+        else:
+            g = gcd(a, den)
+            body = f"{a // g}*{names[c]}" if g == den else f"{a // g}/{den // g}*{names[c]}"
+        parts.append(("-" if x < 0 else "+") + body)
+    text = "".join(parts)
+    return text[1:] if text[0] == "+" else text
 
 
 def render_form(a: Form, prefix: str = "e") -> str:
-    """Canonical text: signed sum of c*e{indices} terms in lex order."""
-    if a.is_zero():
-        return "0"
-    if a.degree == 0:
-        return str(a.coeffs[()])
-    parts: list[str] = []
-    for key, c in a.terms():
-        mono = _render_monomial(key, a.dim, prefix)
-        magnitude = abs(c)
-        body = mono if magnitude == 1 else f"{magnitude}*{mono}"
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+" if c > 0 else "-") + body)
-    return "".join(parts)
+    """Canonical text of *a*: `render_row` of its lex coordinates."""
+    return render_row(a.dim, a.degree, _int_row(a.sparse_vector()), prefix)

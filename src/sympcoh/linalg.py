@@ -490,6 +490,8 @@ def _eliminate(row: dict[int, int], p: int, prow: dict[int, int]) -> dict[int, i
 
 def kernel(m: QMatrix) -> "Subspace":
     """Null space { v : m v = 0 } as a canonical subspace of Q^ncols."""
+    if m.is_zero():  # all-zero or empty-shape block: no elimination needed
+        return Subspace.full(m.ncols)
     reduced, pivots, rank = rref(m)
     pivot_rows = reduced.int_rows[:rank]
     den = lcm(*[d for _, d in pivot_rows])
@@ -506,6 +508,8 @@ def kernel(m: QMatrix) -> "Subspace":
 
 def image(m: QMatrix) -> "Subspace":
     """Column space of *m* as a canonical subspace of Q^nrows."""
+    if m.is_zero():
+        return Subspace.zero(m.nrows)
     return Subspace.spanned(m.transpose())
 
 

@@ -13,13 +13,13 @@ Lie-algebra side and only bound the manifold-level groups from below.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .cohomology import SymplecticCohomology, de_rham_cohomology
 from .errors import InputError
-from .exterior import render_form
+from .exterior import render_form, render_row
 from .lie import LieAlgebra, build_lie_algebra, check_properties
 from .models import FLAG_COMPLETELY_SOLVABLE, FLAG_LATTICE, ModelFile
 from .parsing import parse_form, parse_structure_equations, render_structure
@@ -89,7 +89,11 @@ class Report:
         return filtered
 
     def to_json(self, degree: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(degree), indent=2) + "\n"
+        """The JSON text of `to_json_dict`, byte for byte ``json.dumps(d, indent=2) + "\\n"``."""
+        out: list[str] = []
+        _write_json(self.to_json_dict(degree), "\n", out)
+        out.append("\n")
+        return "".join(out)
 
     def to_text(self, degree: int | None = None) -> str:
         d = self.to_json_dict(degree)
@@ -159,14 +163,67 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _cohomology_table(spaces, with_reps: bool = True) -> list[dict[str, Any]]:
-    table = []
-    for space in spaces:
-        entry: dict[str, Any] = {"degree": space.degree, "dim": space.dim}
-        if with_reps:
-            entry["representatives"] = [render_form(rep) for rep in space.representatives]
-        table.append(entry)
-    return table
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _write_json(value: Any, newline: str, out: list[str]) -> None:
+    """Append the ``json.dumps(value, indent=2)`` text of *value* to *out*.
+
+    *newline* is a line break followed by the indentation of *value*'s
+    own line.  Only str, int, bool, None, list and str-keyed dict are
+    accepted; anything else raises TypeError.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append(_JSON_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"{type(value).__name__} is not a report JSON type")
+
+
+def _rendered_representatives(group) -> list[str]:
+    """Text of each representative of a `CohomologySpace` or `HrsGroup`."""
+    return [
+        render_row(group.ambient_dim, group.degree, row)
+        for row in group.representative_rows.int_rows
+    ]
+
+
+def _cohomology_table(spaces) -> list[dict[str, Any]]:
+    return [
+        {
+            "degree": space.degree,
+            "dim": space.dim,
+            "representatives": _rendered_representatives(space),
+        }
+        for space in spaces
+    ]
 
 
 def _dims_table(dims) -> list[dict[str, Any]]:
@@ -252,7 +309,7 @@ def run_compute(model: ModelFile) -> Report:
                     "s": sdeg,
                     "degree": group.degree,
                     "dim": group.dim,
-                    "representatives": [render_form(rep) for rep in group.representatives],
+                    "representatives": _rendered_representatives(group),
                 }
             )
     hrs_table.sort(key=lambda entry: (entry["degree"], entry["r"]))

@@ -96,6 +96,18 @@ class TestKernelImage:
     def test_image_zero(self):
         assert image(QMatrix.zeros(3, 2)).dim == 0
 
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 4), (0, 0), (0, 3), (3, 0)])
+    def test_zero_blocks_skip_elimination(self, shape, monkeypatch):
+        zero = QMatrix.zeros(*shape)
+        with monkeypatch.context() as patch:
+            # Force the eliminating path for the reference answers.
+            patch.setattr(QMatrix, "is_zero", lambda self: False)
+            want = kernel(zero), image(zero)
+        monkeypatch.setattr("sympcoh.linalg.rref", lambda m: pytest.fail("rref was called"))
+        assert (kernel(zero), image(zero)) == want
+        assert kernel(zero) == Subspace.full(shape[1])
+        assert image(zero) == Subspace.zero(shape[0])
+
     def test_rank_nullity(self):
         rng = random.Random(3)
         for _ in range(25):
