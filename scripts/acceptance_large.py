@@ -1,8 +1,14 @@
-"""Acceptance of the dimension-12 and dimension-14 reports, outside tier-1.
+"""Acceptance of the dim-10 verify and the dim-12 and dim-14 reports, outside tier-1.
 
     python3 scripts/acceptance_large.py
 
-Builds the full `sympcoh compute` report of nil12 (nil10 plus two
+First runs `run_verify(seed=0, dims=(10,), count_per_dim=1,
+include_corpus=False)`, one random structure on the dim-10 catalog
+algebra, whose Lefschetz projector blocks are 252 x 252 in the middle
+degree, and checks the sha256 of its `format_text()`.  It runs first, so
+the process peak RSS printed after it is its own.
+
+Then builds the full `sympcoh compute` report of nil12 (nil10 plus two
 abelian directions paired by omega) and nil14 (nil12 plus two more), and
 checks for each:
 
@@ -12,16 +18,17 @@ checks for each:
 * the Betti numbers against Kuenneth, H(g + R^2m) = H(g) (x) Lambda(R^2m),
   from nil10's row.
 
-Each report's wall time is printed, so two checkouts can be compared in
+Each run's wall time is printed, so two checkouts can be compared in
 alternating runs.  Exits 1 when any check fails.  pytest does not
-collect this file: nil14 takes about 12 s and 100 MB on a 2-core x86-64
-VM.
+collect this file: the dim-10 verify takes about 5 s and 31 MB, and
+nil14 about 12 s and 100 MB, on a 2-core x86-64 VM.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import resource
 import sys
 import time
 from math import comb
@@ -29,7 +36,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sympcoh import parse_model_text, run_compute  # noqa: E402
+from sympcoh import parse_model_text, run_compute, run_verify  # noqa: E402
+
+# sha256 of the seed-0 dim-10 verify text, recorded before its Lefschetz
+# decomposition and coframe change became block products.
+VERIFY10_SHA256 = "346455c192271cf4e40f592712542a1142cb89754ccfa9c9537d4ddab48fdc71"
 
 NIL10_BETTI = [1, 7, 22, 42, 57, 62, 57, 42, 22, 7, 1]
 
@@ -77,8 +88,21 @@ def check(name: str) -> list[str]:
     return problems
 
 
+def check_verify10() -> list[str]:
+    """Run the dim-10 verify, print its wall time and the peak RSS, and return what is wrong."""
+    start = time.perf_counter()
+    summary = run_verify(seed=0, dims=(10,), count_per_dim=1, include_corpus=False)
+    elapsed = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    digest = hashlib.sha256(summary.format_text().encode()).hexdigest()
+    print(f"verify10: {elapsed:.2f} s, peak RSS {peak_mb:.1f} MB, sha256 {digest}")
+    if digest != VERIFY10_SHA256:
+        return [f"verify10: text sha256 {digest}, expected {VERIFY10_SHA256}"]
+    return []
+
+
 def main() -> int:
-    problems = [problem for name in MODELS for problem in check(name)]
+    problems = check_verify10() + [problem for name in MODELS for problem in check(name)]
     for problem in problems:
         print(problem, file=sys.stderr)
     print("ok" if not problems else f"{len(problems)} check(s) failed")

@@ -26,6 +26,7 @@ multiplication, `Bivector`).
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -243,7 +244,9 @@ class Form:
         return self.degree == other.degree and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.degree, frozenset(self.coeffs.items())))
+        # The keys give a nonzero form's degree, and zero forms of every
+        # degree are equal, so the degree stays out of the hash.
+        return hash((self.dim, frozenset(self.coeffs.items())))
 
     # -- multiplicative structure ----------------------------------------
 
@@ -333,6 +336,43 @@ def wedge_pairing(dim: int, k: int) -> QMatrix:
         sign, _ = merge_with_sign(a, complement)
         rows.append(({basis_position(dim, complement): sign}, 1))
     return QMatrix.from_ints(rows, comb(dim, dim - k))
+
+
+def _next_compound(
+    top: list[dict[int, int]], minors: list[dict[int, int]], dim: int, k: int
+) -> list[dict[int, int]]:
+    """Rows of the k-th compound C_k of an integer matrix M, from C_{k-1}.
+
+    C_k[a][b] = det M[a, b] is the matrix of the k-th exterior power of M
+    in the lex bases: the star's Gram blocks and the coframe change of
+    forms are compounds.  *top* holds the rows of M = C_1; every row is
+    {column: nonzero entry} over 0-based lex positions.  Laplace
+    expansion along the first row, over the nonzero entries only:
+        C_k[a][b] = sum_j (-1)^j M[a_1][b_j] C_{k-1}[a - a_1][b - b_j].
+    """
+    # landing[i][c]: the position of (the i-th (k-1)-subset) + {c + 1}, and
+    # (-1)^j for the place j that c + 1 takes in it.
+    landing = []
+    for key in monomial_basis(dim, k - 1):
+        slots = {}
+        for c in range(1, dim + 1):
+            if c not in key:
+                j = bisect(key, c)
+                slots[c - 1] = (basis_position(dim, key[:j] + (c,) + key[j:]), -1 if j % 2 else 1)
+        landing.append(slots)
+    out = []
+    for a in monomial_basis(dim, k):
+        first = top[a[0] - 1]
+        acc: dict[int, int] = {}
+        for i, minor in minors[basis_position(dim, a[1:])].items():
+            slots = landing[i]
+            for c, x in first.items():
+                hit = slots.get(c)
+                if hit is not None:
+                    b, sign = hit
+                    acc[b] = acc.get(b, 0) + sign * x * minor
+        out.append({b: v for b, v in acc.items() if v})
+    return out
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ those blocks.  Each identity is
 checked as a block equation, one per degree: its residual is one
 `linalg.combination` of the blocks, tested with `is_zero`, and only a
 failing residual is searched for the monomial that the error names.
+The Lefschetz decomposition applies one projector block per summand
+and checks its two identities the same way on every call.
 
 Sign conventions are pinned operationally: construction asserts
 Lambda(omega) = n and Lambda_{k+2} L_k - L_{k-2} Lambda_k = H_k in every
@@ -27,7 +29,6 @@ decision procedures do not need them.
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
@@ -36,6 +37,7 @@ from typing import Mapping
 
 from .errors import (
     Degenerate,
+    DimMismatch,
     InternalInconsistencyError,
     NotClosed,
     OddDimension,
@@ -44,9 +46,8 @@ from .exterior import (
     Bivector,
     Form,
     GradedOperator,
-    basis_position,
+    _next_compound,
     merge_with_sign,
-    monomial_basis,
     nonzero_columns,
     top_coefficient,
     wedge_pairing,
@@ -132,12 +133,11 @@ class LefschetzComponents:
         return form
 
     def reassemble(self, s: "SymplecticStructure") -> Form:
-        total = Form.zero(s.dim, self.degree)
+        k = self.degree
+        total = Form.zero(s.dim, k)
         for r, b in self.components.items():
-            term = b * Fraction(1, factorial(r))
-            for _ in range(r):
-                term = s.L(term)
-            total = total + term
+            lifted = s.L_power_block(r, k - 2 * r).apply_sparse(b.sparse_vector())
+            total = total + Form.from_sparse(s.dim, k, lifted) * Fraction(1, factorial(r))
         return total
 
 
@@ -391,53 +391,51 @@ class SymplecticStructure:
     def lefschetz_decompose(self, form: Form) -> LefschetzComponents:
         """Primitive components of *form* via the closed-form projectors.
 
-        Postconditions are enforced on every call: every component is
-        primitive and the reassembly reproduces the input exactly; a
-        failure raises InternalInconsistencyError.  The comparison with
-        the independent linear-solve route
+        On degree k the projector onto the r-th summand is one block,
+        P_{k,r} = sum_ell a_{r,ell,(n,k)} / ell! L^ell Lambda^{r+ell}.
+        Every call checks the block equations Lambda P_{k,r} = 0 and
+        sum_r (1/r!) L^r P_{k,r} = I, each failure raising
+        InternalInconsistencyError at a monomial, and then applies the
+        blocks to the coordinates of *form*.  The comparison with the
+        independent linear-solve route
         (`lefschetz_decompose_by_projection`) runs in verify.
         """
-        k = form.degree
-        n = self.n
-        if form.is_zero():
-            return LefschetzComponents(k, n, {r: Form.zero(self.dim, 0) for r in _r_range(k, n)})
-        lam_powers = [form]
-        while not lam_powers[-1].is_zero():
-            lam_powers.append(self.lam(lam_powers[-1]))
-        components: dict[int, Form] = {}
-        for r in _r_range(k, n):
-            acc = Form.zero(self.dim, k - 2 * r)
-            for ell in range(len(lam_powers)):
-                if r + ell >= len(lam_powers):
-                    break
-                power = lam_powers[r + ell]
-                if power.is_zero():
-                    break
-                coeff = lefschetz_coefficient(r, ell, n, k) / factorial(ell)
-                term = power * coeff
-                for _ in range(ell):
-                    term = self.L(term)
-                acc = acc + term
-            components[r] = acc
+        if form.dim != self.dim:
+            raise DimMismatch(f"structure over dim {self.dim}, form over dim {form.dim}")
+        k, n, identity = form.degree, self.n, QMatrix.identity(comb(self.dim, form.degree))
 
-        result = LefschetzComponents(k, n, components)
-        for r, b in components.items():
-            if not self.lam(b).is_zero():
-                raise InternalInconsistencyError(
-                    f"Lefschetz component r={r} of degree-{k} form is not primitive"
-                )
-        if result.reassemble(self) != form:
-            raise InternalInconsistencyError(
-                f"Lefschetz reassembly does not reproduce the degree-{k} input"
-            )
-        return result
+        def lifted(c, ell: int, block: QMatrix, degree: int) -> tuple:
+            """The `combination` term c L^ell block, for a *block* landing on *degree*."""
+            return (c, self.L_power_block(ell, degree), block) if ell else (c, block)
+
+        lam_powers = [identity]  # Lambda^j from degree k to degree k - 2j
+        for j in range(1, k // 2 + 1):
+            lam_powers.append(self.lambda_block(k - 2 * j + 2) @ lam_powers[-1])
+        projectors = {}
+        for r in _r_range(k, n):
+            terms = []
+            for ell, power in enumerate(lam_powers[r:]):
+                a = lefschetz_coefficient(r, ell, n, k) / factorial(ell)
+                terms.append(lifted(a, ell, power, k - 2 * (r + ell)))
+            projectors[r] = p = combination(terms)
+            primitive = self.lambda_block(k - 2 * r) @ p
+            self._require(primitive, k, k - 2 * r - 2, f"Lefschetz projector r={r} not primitive")
+        reassembly = combination(
+            [lifted(Fraction(1, factorial(r)), r, p, k - 2 * r) for r, p in projectors.items()]
+            + [(-1, identity)]
+        )
+        self._require(reassembly, k, k, "Lefschetz projectors do not sum to the identity")
+        coords = form.sparse_vector()
+        components = {
+            r: Form.from_sparse(self.dim, k - 2 * r, p.apply_sparse(coords))
+            for r, p in projectors.items()
+        }
+        return LefschetzComponents(k, n, components)
 
     def lefschetz_decompose_by_projection(self, form: Form) -> LefschetzComponents:
         """Independent route: solve over the direct sum of L^r P^(k-2r)."""
         k = form.degree
         n = self.n
-        if form.is_zero():
-            return LefschetzComponents(k, n, {r: Form.zero(self.dim, 0) for r in _r_range(k, n)})
         prims = {r: self.primitive_subspace(k - 2 * r) for r in _r_range(k, n)}
         # One row per primitive basis vector B: L^r B, block by block in r.
         lifted = [
@@ -456,40 +454,6 @@ class SymplecticStructure:
             (row,) = (coeffs @ prim.basis).sparse_rows
             components[r] = Form.from_sparse(self.dim, k - 2 * r, row)
         return LefschetzComponents(k, n, components)
-
-
-def _next_compound(
-    top: list[dict[int, int]], minors: list[dict[int, int]], dim: int, k: int
-) -> list[dict[int, int]]:
-    """Rows of the k-th compound C_k of an integer matrix M, from C_{k-1}.
-
-    Rows are {column: nonzero entry} over 0-based lex positions.  Laplace
-    expansion along the first row, over the nonzero entries only:
-        C_k[a][b] = sum_j (-1)^j M[a_1][b_j] C_{k-1}[a - a_1][b - b_j].
-    """
-    # landing[i][c]: the position of (the i-th (k-1)-subset) + {c + 1}, and
-    # (-1)^j for the place j that c + 1 takes in it.
-    landing = []
-    for key in monomial_basis(dim, k - 1):
-        slots = {}
-        for c in range(1, dim + 1):
-            if c not in key:
-                j = bisect(key, c)
-                slots[c - 1] = (basis_position(dim, key[:j] + (c,) + key[j:]), -1 if j % 2 else 1)
-        landing.append(slots)
-    out = []
-    for a in monomial_basis(dim, k):
-        first = top[a[0] - 1]
-        acc: dict[int, int] = {}
-        for i, minor in minors[basis_position(dim, a[1:])].items():
-            slots = landing[i]
-            for c, x in first.items():
-                hit = slots.get(c)
-                if hit is not None:
-                    b, sign = hit
-                    acc[b] = acc.get(b, 0) + sign * x * minor
-        out.append({b: v for b, v in acc.items() if v})
-    return out
 
 
 def _wedge_operator(omega: Form) -> GradedOperator:

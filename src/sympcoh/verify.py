@@ -34,11 +34,12 @@ from math import comb
 
 from .cohomology import SymplecticCohomology, is_abelian
 from .errors import InternalInconsistencyError, SympcohError
-from .exterior import Form, monomial_basis, nonzero_columns
+from .exterior import Form, _next_compound, monomial_basis, nonzero_columns
 from .lie import LieAlgebra, build_lie_algebra
 from .linalg import (
     QMatrix,
     Subspace,
+    _over_lcm,
     combination,
     inverse,
     kernel,
@@ -168,19 +169,6 @@ def random_form(dim: int, degree: int, rng: random.Random, sparsity: int = 4) ->
     return Form(dim, degree, coeffs)
 
 
-def _substitute(form: Form, rows: tuple, dim: int) -> Form:
-    """Rewrite a form under e^j -> sum_k rows[j-1][k] f^k."""
-    total = Form.zero(dim, form.degree)
-    for key, c in form.coeffs.items():
-        term = Form.unit(dim) * c
-        for idx in key:
-            row = rows[idx - 1]
-            one = Form(dim, 1, {(k + 1,): row[k] for k in range(dim) if row[k]})
-            term = term.wedge(one)
-        total = total + term
-    return total
-
-
 def transform_coframe(
     structure: StructureEquations, omega: Form, change: QMatrix
 ) -> tuple[StructureEquations, Form]:
@@ -188,22 +176,21 @@ def transform_coframe(
 
     The result presents the same algebra and the same symplectic form in
     a new basis, so Jacobi, closedness, and non-degeneracy come for free.
+    Under e = M^{-1} f a 2-form's row of coordinates is multiplied by the
+    second compound C_2(M^{-1}), and d f = M d e, so the differentials are
+    M D C_2(M^{-1}) for the matrix D whose rows are the d e^j.
     """
-    dim = structure.dim
-    rows = inverse(change).rows
-    substituted = [_substitute(d, rows, dim) for d in structure.differentials]
-    new_diffs = []
-    for i in range(dim):
-        acc = Form.zero(dim, 2)
-        for j in range(dim):
-            factor = change.rows[i][j]
-            if factor:
-                acc = acc + substituted[j] * factor
-        new_diffs.append(acc)
-    new_structure = StructureEquations(dim, tuple(new_diffs), "")
-    rendered = render_structure(new_structure)
-    new_structure = StructureEquations(dim, tuple(new_diffs), rendered)
-    return new_structure, _substitute(omega, rows, dim)
+    dim, width = structure.dim, comb(structure.dim, 2)
+    top, den = _over_lcm(inverse(change).int_rows)
+    minors = _next_compound(top, top, dim, 2)  # C_2 of the integer matrix den * M^{-1}
+    second = QMatrix.from_ints([(row, den * den) for row in minors], width)
+    diffs = QMatrix.from_sparse([d.sparse_vector() for d in structure.differentials], width)
+    rows = (change @ diffs @ second).sparse_rows
+    new_diffs = tuple(Form.from_sparse(dim, 2, row) for row in rows)
+    new_structure = StructureEquations(dim, new_diffs, "")
+    new_structure = StructureEquations(dim, new_diffs, render_structure(new_structure))
+    (new_omega,) = (QMatrix.from_sparse([omega.sparse_vector()], width) @ second).sparse_rows
+    return new_structure, Form.from_sparse(dim, 2, new_omega)
 
 
 def _random_change(dim: int, rng: random.Random) -> QMatrix:
@@ -223,18 +210,15 @@ def _random_change(dim: int, rng: random.Random) -> QMatrix:
 
 
 def _random_closed_nondegenerate(g: LieAlgebra, rng: random.Random) -> Form | None:
-    closed = kernel(g.d_op.block(2))
-    basis = closed.basis.rows
-    if not basis:
+    basis = kernel(g.d_op.block(2)).basis
+    if not basis.nrows:
         return None
     n = g.dim // 2
     for attempt in range(120):
         spread = 2 if attempt < 60 else 3
-        candidate = Form.zero(g.dim, 2)
-        for vec in basis:
-            c = rng.randint(-spread, spread)
-            if c:
-                candidate = candidate + Form.from_vector(g.dim, 2, vec) * c
+        draws = [rng.randint(-spread, spread) for _ in range(basis.nrows)]
+        (row,) = (QMatrix([draws]) @ basis).sparse_rows
+        candidate = Form.from_sparse(g.dim, 2, row)
         if candidate.is_zero():
             continue
         top = candidate

@@ -1,11 +1,14 @@
 """Block products against the per-vector and Form routes they replace.
 
 The star and the cup pairing are products with the signed permutation
-`wedge_pairing`; the decomposition sum, L^r H^(0,s) and the
+`wedge_pairing`; the coframe change is a product with the second
+compound of the inverse change; a random closed 2-form is one row
+product with the closed basis; the decomposition sum, L^r H^(0,s) and the
 H^(k,0) meet H^(0,2k) check are eliminations of stacked or multiplied
 blocks; class coordinates of one vector are the one-row case of
 `class_matrix`.  Each is checked here against the route it replaced
-(Form wedges, the running `subspace_sum` fold, per-vector `apply`, the
+(Form wedges and substitutions, sums of `Form.from_vector`, the running
+`subspace_sum` fold, per-vector `apply`, the
 Zassenhaus `subspace_intersect`), which stays in this file as the
 oracle.  Every `QMatrix` constructor is checked to give the same
 canonical integer rows and to keep none of its caller's containers.
@@ -26,8 +29,12 @@ from sympcoh import (
     QMatrix,
     Subspace,
     SymplecticCohomology,
+    build_lie_algebra,
     corpus,
+    inverse,
+    kernel,
     load_model,
+    parse_structure_equations,
     structure_from_model,
     subspace_intersect,
     subspace_sum,
@@ -35,7 +42,14 @@ from sympcoh import (
 )
 from sympcoh import cohomology
 from sympcoh.exterior import merge_with_sign, monomial_basis, wedge_pairing
-from sympcoh.verify import random_symplectic_structure
+from sympcoh.parsing import StructureEquations, render_structure
+from sympcoh.verify import (
+    BASE_STRUCTURES,
+    _random_change,
+    _random_closed_nondegenerate,
+    random_symplectic_structure,
+    transform_coframe,
+)
 
 from test_integer_rows import assert_canonical, wide_matrices
 
@@ -110,6 +124,87 @@ def test_cup_matrix_matches_form_wedges(engine, random_engines):
 
 def test_random_engines_for_the_cup_oracle_are_unimodular(random_engines):
     assert all(coh.properties.unimodular for coh in random_engines)
+
+
+# -- random structures: the coframe change and the closed 2-form ---------------
+
+
+def _substitute(form: Form, rows: tuple, dim: int) -> Form:
+    """Rewrite a form under e^j -> sum_k rows[j-1][k] f^k, one wedge at a time."""
+    total = Form.zero(dim, form.degree)
+    for key, c in form.coeffs.items():
+        term = Form.unit(dim) * c
+        for idx in key:
+            row = rows[idx - 1]
+            term = term.wedge(Form(dim, 1, {(k + 1,): row[k] for k in range(dim) if row[k]}))
+        total = total + term
+    return total
+
+
+def _coframe_by_wedges(structure, omega: Form, change: QMatrix):
+    """d f^i = sum_j M_ij d e^j, each d e^j and omega rewritten by `_substitute`."""
+    dim = structure.dim
+    rows = inverse(change).rows
+    substituted = [_substitute(d, rows, dim) for d in structure.differentials]
+    diffs = tuple(
+        sum((substituted[j] * change.rows[i][j] for j in range(dim)), Form.zero(dim, 2))
+        for i in range(dim)
+    )
+    return diffs, _substitute(omega, rows, dim)
+
+
+def _closed_nondegenerate_by_forms(g, rng: random.Random):
+    """Each candidate a sum of `Form.from_vector` over the dense closed basis."""
+    basis = kernel(g.d_op.block(2)).basis.rows
+    if not basis:
+        return None
+    for attempt in range(120):
+        spread = 2 if attempt < 60 else 3
+        candidate = Form.zero(g.dim, 2)
+        for vec in basis:
+            c = rng.randint(-spread, spread)
+            if c:
+                candidate = candidate + Form.from_vector(g.dim, 2, vec) * c
+        if candidate.is_zero():
+            continue
+        top = candidate
+        for _ in range(g.dim // 2 - 1):
+            top = top.wedge(candidate)
+        if not top.is_zero():
+            return candidate
+    return None
+
+
+CATALOG = [(dim, text) for dim, texts in BASE_STRUCTURES.items() for text in texts]
+
+
+@pytest.mark.parametrize("dim, text", CATALOG)
+def test_coframe_change_matches_the_wedge_substitution(dim, text):
+    g = build_lie_algebra(parse_structure_equations(text))
+    rng = random.Random(text)
+    checked = 0
+    for _ in range(10):
+        omega = _random_closed_nondegenerate(g, rng)
+        if omega is None:
+            continue
+        change = _random_change(dim, rng)
+        structure, new_omega = transform_coframe(g.structure, omega, change)
+        diffs, want_omega = _coframe_by_wedges(g.structure, omega, change)
+        assert structure.differentials == diffs
+        assert structure.source_text == render_structure(StructureEquations(dim, diffs))
+        assert new_omega == want_omega and new_omega.degree == 2
+        checked += 1
+    assert checked == 10
+
+
+@pytest.mark.parametrize("dim, text", CATALOG)
+def test_closed_nondegenerate_draws_match_the_form_sum(dim, text):
+    g = build_lie_algebra(parse_structure_equations(text))
+    for seed in range(5):
+        by_rows, by_forms = random.Random(seed), random.Random(seed)
+        got = _random_closed_nondegenerate(g, by_rows)
+        assert got == _closed_nondegenerate_by_forms(g, by_forms)
+        assert by_rows.getstate() == by_forms.getstate()
 
 
 # -- decomposition, L^r H^(0,s) and the meet dimension ---------------------------

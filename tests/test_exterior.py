@@ -126,6 +126,17 @@ class TestFormBasics:
         assert a - a == Form.zero(4, 2)
         assert (a - a) == zero
 
+    def test_zero_forms_of_every_degree_hash_alike(self):
+        zeros = {Form.zero(6, k) for k in range(7)}
+        assert len({Form.zero(6, 0), Form.zero(6, 2)}) == 1
+        assert zeros == {Form.zero(6, 3)}
+        assert {Form.zero(6, 2): "zero"}[Form.zero(6, 0)] == "zero"
+        assert Form.zero(4, 0) not in zeros
+        a = Form.monomial(6, (2, 1), Fraction(1, 2))
+        b = -Form(6, 2, {(1, 2): "1/2"})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, Form.monomial(6, (1, 2)), Form.monomial(6, (1, 2, 3))}) == 3
+
     def test_vector_round_trip(self):
         form = Form(4, 2, {(1, 2): Fraction(3, 2), (2, 4): Fraction(-1)})
         back = Form.from_vector(4, 2, form.coeff_vector())

@@ -7,7 +7,9 @@ import pytest
 
 from sympcoh import (
     Degenerate,
+    DimMismatch,
     Form,
+    InternalInconsistencyError,
     NotClosed,
     OddDimension,
     QMatrix,
@@ -19,6 +21,7 @@ from sympcoh import (
     structure_from_model,
     validate_symplectic,
 )
+from sympcoh import symplectic
 from sympcoh.exterior import monomial_basis
 from sympcoh.linalg import det
 from sympcoh.verify import random_form, random_symplectic_structure
@@ -207,6 +210,32 @@ class TestLefschetzDecomposition:
         monkeypatch.setattr(ex1, "lefschetz_decompose_by_projection", projection)
         form = Form.monomial(6, (1, 3, 6))
         assert ex1.lefschetz_decompose(form).reassemble(ex1) == form
+
+
+    def test_a_wrong_projector_coefficient_fails_the_block_equations(self, ex1, monkeypatch):
+        """Doubling a_{0,1} breaks the projectors of degrees 2 and 3.
+
+        P_{k,0} exists for k <= n = 3 and has an L Lambda term from k = 2
+        on.  e^12 is primitive for example1, so the wrong term never
+        shows on the form itself; the block equations see it all the same.
+        """
+        exact = symplectic.lefschetz_coefficient
+
+        def doubled(r, ell, n, k):
+            value = exact(r, ell, n, k)
+            return 2 * value if (r, ell) == (0, 1) else value
+
+        monkeypatch.setattr(symplectic, "lefschetz_coefficient", doubled)
+        for k in range(2):
+            ex1.lefschetz_decompose(Form.monomial(6, range(1, k + 1)))
+        assert ex1.lam(Form.monomial(6, (1, 2))).is_zero()
+        for k in (2, 3):
+            with pytest.raises(InternalInconsistencyError, match=rf"on degree {k} at e\("):
+                ex1.lefschetz_decompose(Form.monomial(6, range(1, k + 1)))
+
+    def test_decompose_checks_the_form_dimension(self, ex1):
+        with pytest.raises(DimMismatch):
+            ex1.lefschetz_decompose(Form.monomial(4, (1, 2)))
 
 
 class TestPrimitiveSubspaces:
