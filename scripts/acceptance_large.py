@@ -4,8 +4,10 @@
 
 First runs `run_verify(seed=0, dims=(10,), count_per_dim=1,
 include_corpus=False)`, one random structure on the dim-10 catalog
-algebra, whose Lefschetz projector blocks are 252 x 252 in the middle
-degree, and checks the sha256 of its `format_text()`.  It runs first, so
+algebra, whose middle degree has 252 monomials (the Lefschetz
+projectors are square there only on the Darboux model; on the
+structure they act on one column), and checks the sha256 of its
+`format_text()`.  It runs first, so
 the process peak RSS printed after it is its own.
 
 Then builds the full `sympcoh compute` report of nil12 (nil10 plus two

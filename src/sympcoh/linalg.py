@@ -20,7 +20,8 @@ Each operation has one integer kernel.  `combination` sums c * (A @ B)
 and c * A terms row by row over the lcm of the terms' denominators, so a
 block equation such as d L - L d = 0 builds no intermediate matrix; `@`,
 `+` and `-` are its one- and two-term cases.  `rref` is the one
-elimination.  `QMatrix.apply_sparse` is the one matrix-vector product.
+elimination.  A vector is a one-column block: `QMatrix.apply_sparse`
+multiplies by one through `combination`.
 `Subspace._remainder` is the one reduction against a basis, behind
 `reduce`, `contains`, `contains_subspace` and the membership check of
 `QuotientSpace.class_matrix`, which takes the class coordinates of every
@@ -266,25 +267,13 @@ class QMatrix:
         return combination([(1, self, other)])
 
     def apply_sparse(self, vec: Mapping[int, Fraction]) -> SparseRow:
-        """Matrix times a column vector given by its nonzero entries, as {row: Fraction}."""
-        vec, vden = _int_row(vec)
-        out: SparseRow = {}
-        size = len(vec)
-        for i, (nums, den) in enumerate(self.int_rows):
-            acc = 0
-            if len(nums) <= size:
-                for j, x in nums.items():
-                    y = vec.get(j)
-                    if y is not None:
-                        acc += x * y
-            else:
-                for j, y in vec.items():
-                    x = nums.get(j)
-                    if x is not None:
-                        acc += x * y
-            if acc:
-                out[i] = Fraction(acc, den * vden)
-        return out
+        """Matrix times a column vector given by its nonzero entries, as {row: Fraction}.
+
+        The one-column case of `combination`: *vec* becomes a one-column block.
+        """
+        column = QMatrix.from_sparse([vec], self.ncols).transpose()
+        out = (self @ column).int_rows
+        return {i: Fraction(nums[0], den) for i, (nums, den) in enumerate(out) if nums}
 
     def apply(self, vec: Sequence) -> Vector:
         """Matrix times column vector."""
@@ -339,15 +328,12 @@ def combination(terms: Iterable[tuple]) -> QMatrix:
             (b,) = rest
             if a.ncols != b.nrows:
                 raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-            # Every row of B over one denominator, once per term.
-            bden = lcm(*[d for _, d in b.int_rows])
-            if bden == 1:
-                bnums = [nums for nums, _ in b.int_rows]
-            else:
-                bnums = [{c: x * (bden // d) for c, x in nums.items()} for nums, d in b.int_rows]
+            # B's rows are read in place, each scaled to the lcm of their
+            # denominators as it is used.
+            brows, bden = b.int_rows, lcm(*[d for _, d in b.int_rows])
             term_shape = (a.nrows, b.ncols)
         else:
-            bnums, bden = None, 1
+            brows, bden = None, 1
             term_shape = a.shape
         if shape is None:
             shape = term_shape
@@ -359,7 +345,7 @@ def combination(terms: Iterable[tuple]) -> QMatrix:
             f = _exact(coeff)
             p, q = f.numerator, f.denominator
         if p:
-            prepared.append((p, q * bden, a.int_rows, bnums))
+            prepared.append((p, q * bden, a.int_rows, brows, bden))
     if shape is None:
         raise ValueError("combination of no terms")
     out: list[IntRow] = []
@@ -367,23 +353,23 @@ def combination(terms: Iterable[tuple]) -> QMatrix:
         # Term t contributes p_t nums / (q_t aden), q_t including B's denominator.
         live = []
         den = 1
-        for p, q, arows, bnums in prepared:
+        for p, q, arows, brows, bden in prepared:
             anums, aden = arows[i]
             if anums:
-                live.append((p, q * aden, anums, bnums))
+                live.append((p, q * aden, anums, brows, bden))
                 den = lcm(den, q * aden)
         acc: dict[int, int] = {}
-        for p, q, anums, bnums in live:
+        for p, q, anums, brows, bden in live:
             f = p * (den // q)
-            if bnums is None:
+            if brows is None:
                 for c, x in anums.items():
                     acc[c] = acc.get(c, 0) + f * x
                 continue
             for k, x in anums.items():
-                brow = bnums[k]
-                if brow:
-                    g = f * x
-                    for c, y in brow.items():
+                bnums, d = brows[k]
+                if bnums:
+                    g = f * x * (bden // d)
+                    for c, y in bnums.items():
                         acc[c] = acc.get(c, 0) + g * y
         # Lowest terms in one pass: zeros do not change the gcd.
         g = gcd(den, *acc.values()) if den != 1 else 1

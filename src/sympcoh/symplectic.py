@@ -15,8 +15,9 @@ those blocks.  Each identity is
 checked as a block equation, one per degree: its residual is one
 `linalg.combination` of the blocks, tested with `is_zero`, and only a
 failing residual is searched for the monomial that the error names.
-The Lefschetz decomposition applies one projector block per summand
-and checks its two identities the same way on every call.
+The Lefschetz projectors are checked the same way on every call, on the
+Darboux model of the dimension, and applied to the form as a one-column
+block.  omega^n is the 1 x 1 block L^n from degree 0.
 
 Sign conventions are pinned operationally: construction asserts
 Lambda(omega) = n and Lambda_{k+2} L_k - L_{k-2} Lambda_k = H_k in every
@@ -31,8 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, wraps
-from math import comb, factorial
+from functools import cached_property, lru_cache, wraps
+from math import comb, factorial, prod
 from typing import Mapping
 
 from .errors import (
@@ -49,7 +50,6 @@ from .exterior import (
     _next_compound,
     merge_with_sign,
     nonzero_columns,
-    top_coefficient,
     wedge_pairing,
 )
 from .lie import LieAlgebra
@@ -63,6 +63,7 @@ from .linalg import (
     kernel,
     solve,
 )
+from .parsing import StructureEquations
 
 __all__ = [
     "SymplecticStructure",
@@ -99,20 +100,14 @@ def lefschetz_coefficient(r: int, ell: int, n: int, k: int) -> Fraction:
 
         (-1)^ell (n-k+2r+1)^2  prod_{i=0..r} 1/(n-k+2r+1-i)
                                prod_{j=0..ell} 1/(n-k+2r+1+j).
+
+    Every factor of the denominators is at least m - r = n - k + r + 1 >= 1.
     """
     if r < max(k - n, 0) or ell < 0:
         raise ValueError(f"invalid (r, ell) = ({r}, {ell}) for (n, k) = ({n}, {k})")
     m = n - k + 2 * r + 1
-    value = Fraction(m * m)
-    if ell % 2:
-        value = -value
-    for denom in (*range(m - r, m + 1), *range(m, m + ell + 1)):
-        if denom == 0:
-            raise InternalInconsistencyError(
-                f"degenerate Lefschetz denominator at (r={r}, ell={ell}, n={n}, k={k})"
-            )
-        value /= denom
-    return value
+    sign = -1 if ell % 2 else 1
+    return Fraction(sign * m * m, prod(range(m - r, m + 1)) * prod(range(m, m + ell + 1)))
 
 
 @dataclass(frozen=True)
@@ -166,26 +161,19 @@ class SymplecticStructure:
         if not d_omega.is_zero():
             raise NotClosed(f"d(omega) = {d_omega} != 0")
 
-        top = omega
-        for _ in range(self.n - 1):
-            top = top.wedge(omega)
-        if top.is_zero():
+        self.L_op = _wedge_operator(omega)
+        # omega^n = L^n 1, a 1 x 1 block that primitive_subspace(0) reuses.
+        (self.volume_coeff,) = self.L_power_block(self.n, 0).column(0)
+        if not self.volume_coeff:
             raise Degenerate("omega^n = 0")
-        self.omega_top = top
-        self.volume_coeff = top_coefficient(top)
+        self.omega_top = Form.monomial(self.dim, range(1, self.dim + 1), self.volume_coeff)
 
-        self.W = QMatrix(
-            [
-                [omega.coefficient((i, j)) for j in range(1, self.dim + 1)]
-                for i in range(1, self.dim + 1)
-            ]
-        )
+        self.W = _coefficient_matrix(omega)
         self.Winv = inverse(self.W)
         # Pairing of 1-forms: omega^{-1}(e^i, e^j) = (W^{-1})^T[i][j];
         # the Poisson bivector Pi has the same coefficient matrix.
         self.pairing = self.Winv.transpose()
 
-        self.L_op = _wedge_operator(omega)
         self.Lambda_op = _contraction_operator(self.pairing)
         degrees = range(self.dim + 1)
         weights = {k: QMatrix.identity(comb(self.dim, k)).scaled(self.n - k) for k in degrees}
@@ -391,46 +379,54 @@ class SymplecticStructure:
     def lefschetz_decompose(self, form: Form) -> LefschetzComponents:
         """Primitive components of *form* via the closed-form projectors.
 
-        On degree k the projector onto the r-th summand is one block,
-        P_{k,r} = sum_ell a_{r,ell,(n,k)} / ell! L^ell Lambda^{r+ell}.
-        Every call checks the block equations Lambda P_{k,r} = 0 and
+        The projectors are checked on the Darboux model `_darboux(n)`:
+        its blocks P_{k,r} must satisfy Lambda P_{k,r} = 0 and
         sum_r (1/r!) L^r P_{k,r} = I, each failure raising
-        InternalInconsistencyError at a monomial, and then applies the
-        blocks to the coordinates of *form*.  The comparison with the
-        independent linear-solve route
+        InternalInconsistencyError at a monomial.  Each P_{k,r} is a fixed
+        polynomial in L and Lambda, and construction checks
+        [Lambda, L] = H, so these identities carry over to every omega:
+        a finite-dimensional sl(2) representation is fixed by its
+        H-weights, which are C(2n, k) for every omega.  On this structure
+        the projectors are applied to the one-column block of *form*.
+        The comparison with the independent linear-solve route
         (`lefschetz_decompose_by_projection`) runs in verify.
         """
         if form.dim != self.dim:
             raise DimMismatch(f"structure over dim {self.dim}, form over dim {form.dim}")
-        k, n, identity = form.degree, self.n, QMatrix.identity(comb(self.dim, form.degree))
+        k, model = form.degree, _darboux(self.n)
+        identity = QMatrix.identity(comb(self.dim, k))
+        reassembly = [(-1, identity)]
+        for r, p in model._projected(k, identity).items():
+            primitive = model.lambda_block(k - 2 * r) @ p
+            model._require(primitive, k, k - 2 * r - 2, f"Lefschetz projector r={r} not primitive")
+            reassembly.append((Fraction(1, factorial(r)), model.L_power_block(r, k - 2 * r), p))
+        model._require(
+            combination(reassembly), k, k, "Lefschetz projectors do not sum to the identity"
+        )
+        column = QMatrix.from_sparse([form.sparse_vector()], identity.ncols).transpose()
+        components = {
+            r: Form.from_sparse(self.dim, k - 2 * r, p.transpose().sparse_rows[0])
+            for r, p in self._projected(k, column).items()
+        }
+        return LefschetzComponents(k, self.n, components)
 
-        def lifted(c, ell: int, block: QMatrix, degree: int) -> tuple:
-            """The `combination` term c L^ell block, for a *block* landing on *degree*."""
-            return (c, self.L_power_block(ell, degree), block) if ell else (c, block)
+    def _projected(self, k: int, start: QMatrix) -> dict[int, QMatrix]:
+        """P_{k,r} @ start for every r, start a block with C(2n, k) rows.
 
-        lam_powers = [identity]  # Lambda^j from degree k to degree k - 2j
+        P_{k,r} = sum_ell a_{r,ell,(n,k)} / ell! L^ell Lambda^{r+ell}, one
+        `combination` per r over the chain Lambda^j start.
+        """
+        n, chain = self.n, [start]  # Lambda^j start lands on degree k - 2j
         for j in range(1, k // 2 + 1):
-            lam_powers.append(self.lambda_block(k - 2 * j + 2) @ lam_powers[-1])
-        projectors = {}
+            chain.append(self.lambda_block(k - 2 * j + 2) @ chain[-1])
+        projected = {}
         for r in _r_range(k, n):
             terms = []
-            for ell, power in enumerate(lam_powers[r:]):
+            for ell, v in enumerate(chain[r:]):
                 a = lefschetz_coefficient(r, ell, n, k) / factorial(ell)
-                terms.append(lifted(a, ell, power, k - 2 * (r + ell)))
-            projectors[r] = p = combination(terms)
-            primitive = self.lambda_block(k - 2 * r) @ p
-            self._require(primitive, k, k - 2 * r - 2, f"Lefschetz projector r={r} not primitive")
-        reassembly = combination(
-            [lifted(Fraction(1, factorial(r)), r, p, k - 2 * r) for r, p in projectors.items()]
-            + [(-1, identity)]
-        )
-        self._require(reassembly, k, k, "Lefschetz projectors do not sum to the identity")
-        coords = form.sparse_vector()
-        components = {
-            r: Form.from_sparse(self.dim, k - 2 * r, p.apply_sparse(coords))
-            for r, p in projectors.items()
-        }
-        return LefschetzComponents(k, n, components)
+                terms.append((a, self.L_power_block(ell, k - 2 * (r + ell)), v))
+            projected[r] = combination(terms)
+        return projected
 
     def lefschetz_decompose_by_projection(self, form: Form) -> LefschetzComponents:
         """Independent route: solve over the direct sum of L^r P^(k-2r)."""
@@ -492,6 +488,20 @@ def _contraction_operator(pairing: QMatrix) -> GradedOperator:
 
 def _r_range(k: int, n: int) -> range:
     return range(max(k - n, 0), k // 2 + 1)
+
+
+def _coefficient_matrix(omega: Form) -> QMatrix:
+    """The antisymmetric matrix W of a 2-form: W[i][j] is the coefficient of e^{i+1, j+1}."""
+    indices = range(1, omega.dim + 1)
+    return QMatrix([[omega.coefficient((i, j)) for j in indices] for i in indices])
+
+
+@lru_cache(maxsize=None)
+def _darboux(n: int) -> SymplecticStructure:
+    """The Darboux model: abelian R^{2n} with omega_0 = sum_i e^{2i-1, 2i}, built on first use."""
+    dim = 2 * n
+    g = LieAlgebra(StructureEquations(dim, (Form.zero(dim, 2),) * dim))
+    return SymplecticStructure(g, Form(dim, 2, {(2 * i - 1, 2 * i): 1 for i in range(1, n + 1)}))
 
 
 def validate_symplectic(g: LieAlgebra, omega: Form) -> SymplecticStructure:

@@ -41,6 +41,7 @@ from .linalg import (
     Subspace,
     _over_lcm,
     combination,
+    det,
     inverse,
     kernel,
     rref,
@@ -48,7 +49,7 @@ from .linalg import (
     subspace_sum,
 )
 from .parsing import StructureEquations, parse_structure_equations, render_structure
-from .symplectic import SymplecticStructure, _r_range, validate_symplectic
+from .symplectic import SymplecticStructure, _coefficient_matrix, _r_range, validate_symplectic
 
 __all__ = [
     "CheckResult",
@@ -213,18 +214,13 @@ def _random_closed_nondegenerate(g: LieAlgebra, rng: random.Random) -> Form | No
     basis = kernel(g.d_op.block(2)).basis
     if not basis.nrows:
         return None
-    n = g.dim // 2
     for attempt in range(120):
         spread = 2 if attempt < 60 else 3
         draws = [rng.randint(-spread, spread) for _ in range(basis.nrows)]
         (row,) = (QMatrix([draws]) @ basis).sparse_rows
         candidate = Form.from_sparse(g.dim, 2, row)
-        if candidate.is_zero():
-            continue
-        top = candidate
-        for _ in range(n - 1):
-            top = top.wedge(candidate)
-        if not top.is_zero():
+        # omega^n = n! Pf(W) e^{1..2n} and det W = Pf(W)^2.
+        if det(_coefficient_matrix(candidate)):
             return candidate
     return None
 

@@ -11,6 +11,7 @@ and the c x c Gram solver of `quotient_structure` against the
 oracle.
 """
 
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -135,6 +136,25 @@ def test_combination_shape_mismatch_raises():
         combination([(1, a), (1, a, a.transpose())])
     with pytest.raises(ValueError):
         combination([])
+
+
+def test_combination_reads_the_right_factor_in_place():
+    """A product holds no copy of a right factor whose rows have different denominators."""
+    tracemalloc.start()
+    try:
+        rows = [({c: (i + c) % 97 + 1 for c in range(300)}, i % 12 + 1) for i in range(300)]
+        b = QMatrix.from_ints(rows, 300)
+        size, _ = tracemalloc.get_traced_memory()
+        a = QMatrix.from_ints([({7: 1}, 1)], 300)
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        product = combination([(1, a, b)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert {d for _, d in b.int_rows} == set(range(1, 13))
+    assert peak - start < size / 10
+    assert product.int_rows == (b.int_rows[7],)
 
 
 def _quotients(engine: SymplecticCohomology):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -108,6 +109,15 @@ def test_verify_small_run(capsys):
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert "theorem_h2_full_direct" in out
+
+
+# sha256 of the stdout of `sympcoh verify --seed 0`.
+VERIFY_SEED0_SHA256 = "c1715012f35f5c14cdb3507ccb2d7b2864704a358c49063c1aa4e5cae2ecc931"
+
+
+def test_verify_seed0_stdout_is_pinned(capsys):
+    assert main(["verify", "--seed", "0"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_SEED0_SHA256
 
 
 def test_verify_failure_exits_3(monkeypatch, capsys):

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
@@ -167,6 +170,14 @@ class TestLefschetzCoefficient:
         with pytest.raises(ValueError):
             lefschetz_coefficient(0, 0, 3, 7)
 
+    def test_every_valid_index_has_nonzero_denominators(self):
+        """From r >= max(k - n, 0) on, every denominator factor is at least n - k + r + 1 >= 1."""
+        for n in range(1, 10):
+            for k in range(2 * n + 1):
+                for r in range(max(k - n, 0), k + 1):
+                    for ell in range(k + 1):
+                        assert lefschetz_coefficient(r, ell, n, k) != 0
+
 
 class TestLefschetzDecomposition:
     def test_primitive_input_is_fixed(self, ex1):
@@ -236,6 +247,68 @@ class TestLefschetzDecomposition:
     def test_decompose_checks_the_form_dimension(self, ex1):
         with pytest.raises(DimMismatch):
             ex1.lefschetz_decompose(Form.monomial(4, (1, 2)))
+
+    @pytest.mark.parametrize("dim", [6, 8])
+    def test_formula_matches_projection_oracle_on_random_structures(self, dim):
+        s = random_symplectic_structure(dim, random.Random(0))
+        rng = random.Random(17)
+        for k in range(dim + 1):
+            form = random_form(dim, k, rng)
+            by_formula = s.lefschetz_decompose(form)
+            assert by_formula.components == s.lefschetz_decompose_by_projection(form).components
+            assert by_formula.reassemble(s) == form
+
+    def test_a_coefficient_changed_after_a_correct_call_still_fails(self, ex1, monkeypatch):
+        """The Darboux check runs on every call: no memo keyed on (n, k) hides a new fault."""
+        for k in (2, 3):
+            ex1.lefschetz_decompose(Form.monomial(6, range(1, k + 1)))
+        exact = symplectic.lefschetz_coefficient
+
+        def doubled(r, ell, n, k):
+            value = exact(r, ell, n, k)
+            return 2 * value if (r, ell) == (0, 1) else value
+
+        monkeypatch.setattr(symplectic, "lefschetz_coefficient", doubled)
+        for k in (2, 3):
+            with pytest.raises(InternalInconsistencyError, match=rf"on degree {k} at e\("):
+                ex1.lefschetz_decompose(Form.monomial(6, range(1, k + 1)))
+
+    def test_square_projectors_are_built_on_the_darboux_model_only(self, ex1, monkeypatch):
+        model = symplectic._darboux(3)
+        assert model is symplectic._darboux(3)
+        assert model.omega == parse_form("12+34+56", 6, degree=2)
+        calls = []
+        projected = symplectic.SymplecticStructure._projected
+
+        def spy(s, k, start):
+            calls.append((s is model, start.shape))
+            return projected(s, k, start)
+
+        monkeypatch.setattr(symplectic.SymplecticStructure, "_projected", spy)
+        for k in range(7):
+            ex1.lefschetz_decompose(Form.monomial(6, range(1, k + 1)))
+            size = comb(6, k)
+            assert calls == [(True, (size, size)), (False, (size, 1))]
+            calls.clear()
+
+
+def test_the_darboux_model_is_built_on_first_decomposition():
+    code = (
+        "from sympcoh import corpus, run_compute, structure_from_model\n"
+        "from sympcoh.symplectic import _darboux\n"
+        "sizes = [_darboux.cache_info().currsize]\n"
+        "run_compute(corpus()[0])\n"
+        "s = structure_from_model(corpus()[0])\n"
+        "sizes.append(_darboux.cache_info().currsize)\n"
+        "s.lefschetz_decompose(s.omega)\n"
+        "sizes.append(_darboux.cache_info().currsize)\n"
+        "print(sizes)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[0, 0, 1]\n"
 
 
 class TestPrimitiveSubspaces:
