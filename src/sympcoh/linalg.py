@@ -29,7 +29,11 @@ row of a block as one product with the solver; `coordinates` is its
 one-row case.
 
 Subspaces are stored by their unique RREF basis, so subspace equality
-is literal equality of matrices.  All values are immutable after
+is literal equality of matrices.  Each subspace comes out of one
+elimination: `kernel` reads its RREF basis off the free vectors of one
+`rref`, and the quotient complement and `subspace_intersect` read theirs
+off a kernel or a Zassenhaus block; only `Subspace.spanned` reduces an
+arbitrary generating set.  All values are immutable after
 construction and all functions are pure; nothing here keeps shared
 mutable state.
 
@@ -398,12 +402,10 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     cleared from the earlier rows the same way.  Each output row is the
     primitive row over its pivot entry.
 
-    An input that already is its own RREF is returned as it is, without
-    elimination (see `_reduced_pivots`).
+    One path: every input is eliminated.  `kernel`, the quotient
+    complements and `subspace_intersect` read their RREF bases off their
+    own elimination, so none passes a reduced basis back in.
     """
-    pivots = _reduced_pivots(m.int_rows)
-    if pivots is not None:
-        return m, pivots, len(pivots)
     found: dict[int, dict[int, int]] = {}
     for source, _ in m.int_rows:
         if not source:
@@ -433,34 +435,6 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     return QMatrix._wrap(rows, m.ncols), pivots, len(pivots)
 
 
-def _reduced_pivots(rows: Sequence[IntRow]) -> tuple[int, ...] | None:
-    """The pivot columns of *rows* when they already are in RREF, else None.
-
-    In RREF the nonzero rows come first, their lead columns increase
-    strictly, each lead entry is 1 (numerator equal to the denominator of
-    the canonical row), and no row has an entry in another row's lead
-    column.  One pass over the entries, with the lead columns in a set.
-    """
-    pivots: list[int] = []
-    last = -1
-    for nums, den in rows:
-        if not nums:
-            break
-        p = min(nums)
-        if p <= last or nums[p] != den:
-            return None
-        pivots.append(p)
-        last = p
-    rank = len(pivots)
-    if any(nums for nums, _ in rows[rank:]):
-        return None
-    leads = set(pivots)
-    for nums, _ in rows[:rank]:
-        if len(leads.intersection(nums)) != 1:
-            return None
-    return tuple(pivots)
-
-
 def _eliminate(row: dict[int, int], p: int, prow: dict[int, int]) -> dict[int, int]:
     """row (in place, or rescaled) minus the multiple of prow that clears column p."""
     a, b = prow[p], row[p]
@@ -475,21 +449,32 @@ def _eliminate(row: dict[int, int], p: int, prow: dict[int, int]) -> dict[int, i
 
 
 def kernel(m: QMatrix) -> "Subspace":
-    """Null space { v : m v = 0 } as a canonical subspace of Q^ncols."""
+    """Null space { v : m v = 0 } as a canonical subspace of Q^ncols.
+
+    One elimination, of *m* with its columns in reverse order, whose
+    free vectors already are the RREF basis.  In the reversed order a
+    pivot row has entries only at free columns after its pivot, so in
+    the original order only at free columns before it.  The free vector
+    of a free column f is 1 at f and minus the pivot rows' entries in f
+    at their pivots, which all lie after f: its lead is f, with entry 1,
+    and it is zero at every other free column, the other vectors' leads.
+    """
     if m.is_zero():  # all-zero or empty-shape block: no elimination needed
         return Subspace.full(m.ncols)
-    reduced, pivots, rank = rref(m)
+    last = m.ncols - 1
+    flipped = [({last - c: x for c, x in nums.items()}, den) for nums, den in m.int_rows]
+    reduced, pivots, rank = rref(QMatrix._wrap(flipped, m.ncols))
     pivot_rows = reduced.int_rows[:rank]
     den = lcm(*[d for _, d in pivot_rows])
-    pivot_set = set(pivots)
-    # The free vector of f over den: 1 at f, -reduced[p][f] at each pivot p.
+    pivot_set = {last - p for p in pivots}
+    # Free vector of f over den, in the original order: 1 at f, -reduced[p][f] at pivot p.
     vectors = {f: {f: den} for f in range(m.ncols) if f not in pivot_set}
     for p, (nums, d) in zip(pivots, pivot_rows):
         scale = den // d
         for c, x in nums.items():
             if c != p:
-                vectors[c][p] = -x * scale
-    return Subspace.spanned(QMatrix.from_ints([(v, den) for v in vectors.values()], m.ncols))
+                vectors[last - c][last - p] = -x * scale
+    return Subspace(m.ncols, QMatrix.from_ints([(v, den) for v in vectors.values()], m.ncols))
 
 
 def image(m: QMatrix) -> "Subspace":
@@ -683,7 +668,13 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus block trick on [[A A],[B 0]]."""
+    """Intersection via the Zassenhaus block trick on [[A A],[B 0]].
+
+    The rows of the block's RREF whose pivot is at column n or later
+    vanish on the left half, and their right halves span the
+    intersection.  Those rows of an RREF are themselves in RREF, so
+    their right halves already are the canonical basis.
+    """
     _check_ambient(a, b)
     n = a.ambient_dim
     if a.dim == 0 or b.dim == 0:
@@ -698,7 +689,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         for p, (nums, den) in zip(pivots, reduced.int_rows)
         if p >= n
     ]
-    return Subspace.spanned(QMatrix.from_ints(inter_rows, n))
+    return Subspace(n, QMatrix._wrap(inter_rows, n))
 
 
 def image_meet_kernel(m: QMatrix, a: QMatrix) -> Subspace:
@@ -782,11 +773,16 @@ def _unchecked_quotient(w: Subspace, v: Subspace) -> QuotientSpace:
     """`quotient_structure` for a caller that has already checked w <= v.
 
     The representatives C span v meet the orthogonal complement of w,
-    taken as span(ker(W V^T) V) for the basis rows V of v and W of w
-    (C = V when w = 0).
+    taken as K V for the basis rows V of v and W of w and the RREF basis
+    K of ker(W V^T) (C = V when w = 0).  K V already is in RREF.  Row i
+    of K is 1 at its lead q_i, zero at the other leads q_j, and nonzero
+    elsewhere only after q_i; row q of V is 1 at its lead p_q and zero at
+    the other leads.  So row i of K V is V's row q_i plus rows whose
+    leads come after p_{q_i}: its lead is 1 at p_{q_i}, and it is zero
+    at every other p_{q_j}.
     """
     if w.dim:
-        complement = Subspace.spanned(kernel(w.basis @ v.basis.transpose()).basis @ v.basis)
+        complement = Subspace(v.ambient_dim, kernel(w.basis @ v.basis.transpose()).basis @ v.basis)
     else:
         complement = v  # every vector is orthogonal to the zero space
     return QuotientSpace(v, w, complement)

@@ -18,11 +18,21 @@ from sympcoh import (
     subspace_intersect,
     subspace_sum,
 )
+from sympcoh import linalg
 from sympcoh.linalg import as_vector, det
 
 
 def F(x):
     return Fraction(x)
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """The shape of every block passed to `linalg.rref`, in call order."""
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m.shape) or real(m))
+    return calls
 
 
 class TestRref:
@@ -107,6 +117,13 @@ class TestKernelImage:
         assert (kernel(zero), image(zero)) == want
         assert kernel(zero) == Subspace.full(shape[1])
         assert image(zero) == Subspace.zero(shape[0])
+
+    def test_kernel_is_one_elimination(self, rref_calls):
+        m = QMatrix([[1, 2, 0, -1, 3], [0, 1, 3, 1, 0], [2, 5, 3, -1, 6]])
+        space = kernel(m)
+        assert rref_calls == [m.shape]
+        assert space.dim == 3
+        assert all(not any(m.apply(v)) for v in space.vectors())
 
     def test_rank_nullity(self):
         rng = random.Random(3)
@@ -203,6 +220,17 @@ class TestQuotient:
         w = Subspace.from_vectors(2, [[1, 2]])
         q = quotient_structure(w, v)
         assert q.coordinates([2, 4]) == (F(0),)
+
+    def test_complement_needs_no_elimination_beyond_its_kernel(self, rref_calls):
+        v = Subspace.from_vectors(4, [[1, 0, 2, 1], [0, 1, 1, -1], [1, 1, 0, F("1/2")]])
+        w = Subspace.from_vectors(4, [[2, 1, 5, 1]])
+        rref_calls.clear()
+        kernel(w.basis @ v.basis.transpose())
+        alone = list(rref_calls)
+        rref_calls.clear()
+        complement = quotient_structure(w, v).complement
+        assert rref_calls == alone == [(1, 3)]
+        assert complement.dim == 2
 
     def test_not_subspace(self):
         v = Subspace.from_vectors(3, [[1, 0, 0]])

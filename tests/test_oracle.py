@@ -5,6 +5,7 @@ the operator blocks of real models, and on random sparse rational
 matrices, checks the RREF, the pivots and everything built on them.
 """
 
+import random
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -20,9 +21,12 @@ from sympcoh import (
     inverse,
     kernel,
     load_model,
+    quotient_structure,
     rref,
     solve,
     structure_from_model,
+    subspace_intersect,
+    subspace_sum,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -63,9 +67,9 @@ def test_operator_blocks_match_sympy(name):
                 assert_rref_matches(block)
 
 
-# In RREF but for one defect each: the reduced-input check of `rref` must
-# see every one of them and eliminate, so each comes back as sympy's RREF.
-# Each key names the RREF condition its input breaks.
+# In RREF but for one defect each, so an elimination that took any of
+# them for reduced input would return it unchanged: each must come back
+# as sympy's RREF.  Each key names the RREF condition its input breaks.
 NEARLY_REDUCED = {
     "lead entry not 1": [[1, 2, 0, 3], [0, 0, 2, -1], [0, 0, 0, 0]],
     "nonzero above a later lead": [[1, 2, 0, 3], [0, 0, 1, -1], [0, 0, 0, 1]],
@@ -121,6 +125,53 @@ def test_rref_matches_sympy(m):
 def test_kernel_matches_sympy(m):
     null = [[Fraction(int(x.p), int(x.q)) for x in v] for v in to_sympy(m).nullspace()]
     assert kernel(m) == Subspace.from_vectors(m.ncols, null)
+
+
+def seeded_block(rng: random.Random, nrows: int, ncols: int) -> QMatrix:
+    """A block with entries p/q, |p| <= 3 and q <= 3, of one of four kinds.
+
+    "sparse" has half its entries zero, "zero rows" and "repeated rows"
+    overwrite some rows with zeros or with copies of earlier rows, and
+    "full rank" is redrawn until its rank is min(nrows, ncols).
+    """
+    kind = rng.choice(("sparse", "zero rows", "repeated rows", "full rank"))
+
+    def draw(zero_share):
+        return [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() >= zero_share else 0
+             for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+
+    rows = draw(0.5)
+    if kind == "zero rows":
+        for i in rng.sample(range(nrows), nrows // 2):
+            rows[i] = [0] * ncols
+    elif kind == "repeated rows":
+        for i in range(1, nrows):
+            if rng.random() < 0.5:
+                rows[i] = rows[rng.randrange(i)]
+    elif kind == "full rank":
+        while rref(QMatrix(rows, ncols))[2] < min(nrows, ncols):
+            rows = draw(0.0)
+    return QMatrix(rows, ncols)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_subspaces_come_out_in_rref(seed):
+    """`kernel`, quotient complements and `subspace_intersect` build their
+    RREF bases without a final `Subspace.spanned`; each must already be
+    the basis that `spanned` would give."""
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 9)
+    m, x, y = (seeded_block(rng, rng.randint(0, 7), ncols) for _ in range(3))
+    a, b = Subspace.spanned(x), Subspace.spanned(y)
+    for space in (
+        kernel(m),
+        quotient_structure(a, subspace_sum(a, b)).complement,
+        subspace_intersect(a, b),
+    ):
+        assert Subspace.spanned(space.basis) == space
 
 
 @settings(deadline=None, max_examples=40)
