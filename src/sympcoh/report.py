@@ -254,36 +254,38 @@ def run_compute(model: ModelFile) -> Report:
             name: render_form(parse_form(text, g.dim)) for name, text in model.extra_forms
         },
     }
-    properties_block = {
-        "nilpotent": properties.nilpotent,
-        "solvable": properties.solvable,
-        "unimodular": properties.unimodular,
-        "completely_solvable_asserted": FLAG_COMPLETELY_SOLVABLE in model.flags,
-        "lattice_asserted": FLAG_LATTICE in model.flags,
+    data: dict[str, Any] = {
+        "schema": SCHEMA,
+        "model": model_echo,
+        "properties": {
+            "nilpotent": properties.nilpotent,
+            "solvable": properties.solvable,
+            "unimodular": properties.unimodular,
+            "completely_solvable_asserted": FLAG_COMPLETELY_SOLVABLE in model.flags,
+            "lattice_asserted": FLAG_LATTICE in model.flags,
+        },
+        "betti": None,
+        "cohomology": {
+            "de_rham": None,
+            "d_lambda": None,
+            "d_plus_d_lambda": None,
+            "dd_lambda": None,
+            "primitive_d_plus_d_lambda": None,
+            "primitive_d": None,
+        },
+        "hrs": None,
+        "decompositions": None,
+        "hlc": None,
+        "dd_lambda_lemma": None,
+        "extra_form_checks": [],
+        "caveats": caveats,
     }
+    tables = data["cohomology"]
 
     if model.omega is None:
         de_rham = de_rham_cohomology(g)
-        data: dict[str, Any] = {
-            "schema": SCHEMA,
-            "model": model_echo,
-            "properties": properties_block,
-            "betti": [space.dim for space in de_rham],
-            "cohomology": {
-                "de_rham": _cohomology_table(de_rham),
-                "d_lambda": None,
-                "d_plus_d_lambda": None,
-                "dd_lambda": None,
-                "primitive_d_plus_d_lambda": None,
-                "primitive_d": None,
-            },
-            "hrs": None,
-            "decompositions": None,
-            "hlc": None,
-            "dd_lambda_lemma": None,
-            "extra_form_checks": [],
-            "caveats": caveats,
-        }
+        data["betti"] = [space.dim for space in de_rham]
+        tables["de_rham"] = _cohomology_table(de_rham)
         return Report(data)
 
     s = _structure_on(g, model)
@@ -299,7 +301,7 @@ def run_compute(model: ModelFile) -> Report:
 
     model_echo["omega"] = render_form(s.omega)
 
-    hrs_table = []
+    hrs_table = data["hrs"] = []
     for sdeg in range(n + 1):
         for r in range((s.dim - sdeg) // 2 + 1):
             group = coh.hrs_group(r, sdeg)
@@ -314,10 +316,10 @@ def run_compute(model: ModelFile) -> Report:
             )
     hrs_table.sort(key=lambda entry: (entry["degree"], entry["r"]))
 
-    decomposition_table = []
+    data["decompositions"] = []
     for k in range(s.dim + 1):
         verdict = coh.decomposition(k)
-        decomposition_table.append(
+        data["decompositions"].append(
             {
                 "degree": k,
                 "summands": [
@@ -331,14 +333,13 @@ def run_compute(model: ModelFile) -> Report:
         )
 
     hlc = coh.hlc()
-    hlc_block = {
+    data["hlc"] = {
         "per_degree": [
             {"k": k, "isomorphism": iso} for k, iso in enumerate(hlc.per_degree)
         ],
         "overall": hlc.overall,
     }
 
-    extra_checks = []
     for name, text in model.extra_forms:
         form = parse_form(text, g.dim)
         d_closed = g.d(form).is_zero()
@@ -347,7 +348,7 @@ def run_compute(model: ModelFile) -> Report:
         if d_closed and form.degree <= n:
             cls = coh.de_rham[form.degree].class_of(form)
             in_group = coh.hrs_group(0, form.degree).classes.contains(cls)
-        extra_checks.append(
+        data["extra_form_checks"].append(
             {
                 "name": name,
                 "rendered": render_form(form),
@@ -358,28 +359,16 @@ def run_compute(model: ModelFile) -> Report:
             }
         )
 
-    data = {
-        "schema": SCHEMA,
-        "model": model_echo,
-        "properties": properties_block,
-        "betti": list(coh.betti),
-        "cohomology": {
-            "de_rham": _cohomology_table(coh.de_rham),
-            "d_lambda": _dims_table(coh.dlambda_dims),
-            "d_plus_d_lambda": _cohomology_table(coh.d_plus_dlambda),
-            "dd_lambda": _dims_table(coh.ddlambda_dims),
-            "primitive_d_plus_d_lambda": _cohomology_table(
-                [coh.primitive_ph_plus(sdeg) for sdeg in range(n + 1)]
-            ),
-            "primitive_d": [
-                {"degree": sdeg, "dim": coh.primitive_ph_d(sdeg)} for sdeg in range(n + 1)
-            ],
-        },
-        "hrs": hrs_table,
-        "decompositions": decomposition_table,
-        "hlc": hlc_block,
-        "dd_lambda_lemma": coh.dd_lemma(),
-        "extra_form_checks": extra_checks,
-        "caveats": caveats,
-    }
+    data["betti"] = list(coh.betti)
+    tables["de_rham"] = _cohomology_table(coh.de_rham)
+    tables["d_lambda"] = _dims_table(coh.dlambda_dims)
+    tables["d_plus_d_lambda"] = _cohomology_table(coh.d_plus_dlambda)
+    tables["dd_lambda"] = _dims_table(coh.ddlambda_dims)
+    tables["primitive_d_plus_d_lambda"] = _cohomology_table(
+        [coh.primitive_ph_plus(sdeg) for sdeg in range(n + 1)]
+    )
+    tables["primitive_d"] = [
+        {"degree": sdeg, "dim": coh.primitive_ph_d(sdeg)} for sdeg in range(n + 1)
+    ]
+    data["dd_lambda_lemma"] = coh.dd_lemma()
     return Report(data)

@@ -335,7 +335,12 @@ class SymplecticStructure:
         identities come out as Lambda = star L star and
         d^Lambda = (-1)^k star d star; no choice of per-degree signs for
         star can produce the opposite composite signs, so these are the
-        ones checked, as block equations on each degree k.
+        ones checked, as block equations on each degree k.  The degrees
+        run upwards, so the involutions have made star_{k-2} and star_{k-1}
+        invertible, and the two are checked with one product per term as
+        star_{k-2} Lambda_k = L_{m-k} star_k and star_{k-1} d^Lambda_k =
+        (-1)^k d_{m-k} star_k: each residual is that star times the triple
+        product's, with the same zero columns and first failing monomial.
         """
         star, m = op.block, self.dim
         for k in range(m + 1):
@@ -344,16 +349,16 @@ class SymplecticStructure:
             )
             self._require(involution, k, k, "star star != id")
             conjugate = combination(
-                [(1, star(m - k + 2) @ self.L_block(m - k), star(k)), (-1, self.lambda_block(k))]
+                [(1, self.L_block(m - k), star(k)), (-1, star(k - 2), self.lambda_block(k))]
             )
-            self._require(conjugate, k, k - 2, "Lambda != star L star")
+            self._require(conjugate, k, m - k + 2, "Lambda != star L star")
             route = combination(
                 [
-                    (-1 if k % 2 else 1, star(m - k + 1) @ self.d_block(m - k), star(k)),
-                    (-1, self.d_lambda_block(k)),
+                    (-1 if k % 2 else 1, self.d_block(m - k), star(k)),
+                    (-1, star(k - 1), self.d_lambda_block(k)),
                 ]
             )
-            self._require(route, k, k - 1, "star route to d^Lambda disagrees")
+            self._require(route, k, m - k + 1, "star route to d^Lambda disagrees")
 
     # -- primitive forms ------------------------------------------------------
 
@@ -496,9 +501,9 @@ def _coefficient_matrix(omega: Form) -> QMatrix:
     return QMatrix([[omega.coefficient((i, j)) for j in indices] for i in indices])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _darboux(n: int) -> SymplecticStructure:
-    """The Darboux model: abelian R^{2n} with omega_0 = sum_i e^{2i-1, 2i}, built on first use."""
+    """The Darboux model, abelian R^{2n} with omega_0 = sum_i e^{2i-1,2i}; only the last is kept."""
     dim = 2 * n
     g = LieAlgebra(StructureEquations(dim, (Form.zero(dim, 2),) * dim))
     return SymplecticStructure(g, Form(dim, 2, {(2 * i - 1, 2 * i): 1 for i in range(1, n + 1)}))

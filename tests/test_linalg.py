@@ -149,6 +149,15 @@ class TestSubspaceLattice:
         y = Subspace.from_vectors(2, [[0, 1]])
         assert subspace_intersect(x, y).dim == 0
 
+    @pytest.mark.parametrize("zero_first", [True, False])
+    def test_meet_with_the_zero_space_takes_the_zassenhaus_block(self, zero_first, rref_calls):
+        a = Subspace.from_vectors(3, [[1, 2, 0], [0, 0, 5]])
+        for other in (a, Subspace.full(3), Subspace.zero(3)):
+            pair = (Subspace.zero(3), other) if zero_first else (other, Subspace.zero(3))
+            rref_calls.clear()
+            assert subspace_intersect(*pair) == Subspace.zero(3)
+            assert rref_calls == [(other.dim, 6)]
+
     def test_modular_law_seeded(self):
         rng = random.Random(11)
         for _ in range(30):
@@ -195,6 +204,13 @@ class TestQuotient:
         q = quotient_structure(v, v)
         assert q.dim == 0
         assert q.coordinates([1, 1, 0]) == ()
+
+    def test_zero_quotient_uses_the_general_solver(self):
+        v = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
+        for q in (quotient_structure(v, v), quotient_structure(Subspace.zero(3), Subspace.zero(3))):
+            assert q._solver == QMatrix.zeros(0, 3)
+            assert q.class_matrix(q.total.basis) == QMatrix.zeros(0, q.total.dim)
+            assert q.class_matrix(QMatrix.zeros(4, 3)) == QMatrix.zeros(0, 4)
 
     def test_zero_denominator_gives_basis(self):
         v = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
@@ -259,6 +275,9 @@ class TestSolveInverse:
     def test_inverse_round_trip(self):
         m = QMatrix([[2, 1], [1, 1]])
         assert m @ inverse(m) == QMatrix.identity(2)
+
+    def test_inverse_of_the_empty_matrix(self):
+        assert inverse(QMatrix.zeros(0, 0)) == QMatrix.zeros(0, 0)
 
     def test_inverse_singular(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
@@ -309,6 +311,13 @@ def test_the_darboux_model_is_built_on_first_decomposition():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[0, 0, 1]\n"
+
+
+def test_only_the_last_darboux_model_is_kept():
+    model = weakref.ref(symplectic._darboux(2))
+    symplectic._darboux(3)
+    gc.collect()
+    assert model() is None
 
 
 class TestPrimitiveSubspaces:

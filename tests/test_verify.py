@@ -17,7 +17,7 @@ from sympcoh import (
     structure_from_model,
     validate_symplectic,
 )
-from sympcoh.exterior import GradedOperator
+from sympcoh.exterior import GradedOperator, nonzero_columns
 from sympcoh.linalg import QMatrix
 from sympcoh.verify import _Recorder, operator_identity_suite, random_symplectic_structure
 
@@ -147,6 +147,47 @@ def test_corrupted_star_block_raises(k, factor):
     s.pairing_matrix = lambda j: gram(j).scaled(factor) if j == k else gram(j)
     with pytest.raises(InternalInconsistencyError, match=r"on degree \d at e\("):
         s.star_op
+
+
+def _triple_product_failure(s, star) -> str | None:
+    """The error of the first failing star identity, from the residuals star X star - Y."""
+    m = s.dim
+    for k in range(m + 1):
+        sign = -1 if k % 2 else 1
+        checks = (
+            (star(m - k + 2) @ s.L_block(m - k) @ star(k) - s.lambda_block(k), k - 2,
+             "Lambda != star L star"),
+            ((star(m - k + 1) @ s.d_block(m - k) @ star(k)).scaled(sign) - s.d_lambda_block(k),
+             k - 1, "star route to d^Lambda disagrees"),
+        )
+        for residual, target, what in checks:
+            failing = nonzero_columns(residual, m, k, target)
+            if failing:
+                return f"{what} on degree {k} at e{failing[0][0]}"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name, shift", [("L_op", 2), ("Lambda_op", -2), ("dLambda_op", -1)])
+def test_corrupted_operator_block_fails_the_star_check_as_the_triple_product(seed, name, shift):
+    """One product per term names the same first failing monomial as star X star."""
+    rng = random.Random(seed)
+    s = random_symplectic_structure(6, rng)
+    star = s.star_op.block
+    good = getattr(s, name)
+    for k, block in good.blocks.items():
+        if not block.nrows:
+            continue
+        rows = [list(row) for row in block.rows]
+        rows[rng.randrange(block.nrows)][rng.randrange(block.ncols)] += rng.choice((-1, 1, 2))
+        corrupted = {**good.blocks, k: QMatrix(rows, block.ncols)}
+        setattr(s, name, GradedOperator(s.dim, shift, corrupted))
+        s.__dict__.pop("star_op", None)
+        expected = _triple_product_failure(s, star)
+        assert expected is not None
+        with pytest.raises(InternalInconsistencyError) as caught:
+            s.star_op
+        assert str(caught.value) == expected, (name, k)
 
 
 def test_projection_route_disagreement_fails_lefschetz_reassembly(monkeypatch):
