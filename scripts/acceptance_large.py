@@ -7,8 +7,7 @@ include_corpus=False)`, one random structure on the dim-10 catalog
 algebra, whose middle degree has 252 monomials (the Lefschetz
 projectors are square there only on the Darboux model; on the
 structure they act on one column), and checks the sha256 of its
-`format_text()`.  It runs first, so
-the process peak RSS printed after it is its own.
+`format_text()`.
 
 Then builds the full `sympcoh compute` report of four models:
 
@@ -33,9 +32,11 @@ It checks for each:
   nil10's row for nil12 and nil14, and the nice-basis models' rows for
   the generic ones.
 
-Each run's wall time is printed, so two checkouts can be compared in
-alternating runs.  Exits 1 when any check fails.  pytest does not
-collect this file.  On a 2-core x86-64 VM, the dim-10 verify takes
+Each run's wall time is printed with the process peak RSS so far, so
+two checkouts can be compared in alternating runs.  The verify runs
+first, so its peak is its own; a later line shows a larger peak only
+when that report, or what it left cached, needed more.  Exits 1 when
+any check fails.  pytest does not collect this file.  On a 2-core x86-64 VM, the dim-10 verify takes
 about 2-3 s and 32 MB; nil14, the largest nice-basis report, about
 4-5 s; and generic nil10 about 15 s.
 """
@@ -172,14 +173,19 @@ MODELS = {
 }
 
 
+def peak_mb() -> float:
+    """The peak resident set size of this process so far, in MB (Linux reports KB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def check(name: str) -> list[str]:
-    """Build one report, print its wall time, and return what is wrong with it."""
+    """Build one report, print its wall time and the peak RSS, and return what is wrong with it."""
     text, betti_want, want = MODELS[name]
     start = time.perf_counter()
     report = run_compute(parse_model_text(text)).to_json()
     elapsed = time.perf_counter() - start
     digest = hashlib.sha256(report.encode()).hexdigest()
-    print(f"{name}: {elapsed:.2f} s, sha256 {digest}")
+    print(f"{name}: {elapsed:.2f} s, peak RSS {peak_mb():.1f} MB, sha256 {digest}")
     problems = []
     if digest != want:
         problems.append(f"{name}: report sha256 {digest}, expected {want}")
@@ -194,9 +200,8 @@ def check_verify10() -> list[str]:
     start = time.perf_counter()
     summary = run_verify(seed=0, dims=(10,), count_per_dim=1, include_corpus=False)
     elapsed = time.perf_counter() - start
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     digest = hashlib.sha256(summary.format_text().encode()).hexdigest()
-    print(f"verify10: {elapsed:.2f} s, peak RSS {peak_mb:.1f} MB, sha256 {digest}")
+    print(f"verify10: {elapsed:.2f} s, peak RSS {peak_mb():.1f} MB, sha256 {digest}")
     if digest != VERIFY10_SHA256:
         return [f"verify10: text sha256 {digest}, expected {VERIFY10_SHA256}"]
     return []

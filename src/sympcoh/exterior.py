@@ -2,10 +2,10 @@
 
 Sparse multivectors with exact rational coefficients in the lexicographic
 monomial basis, wedge products, contraction with a bivector, and graded
-linear operators as exact matrices.  An operator's blocks are built
-either from an integer rule on basis monomials (`GradedOperator.from_rule`,
-which builds d, L and Lambda) or by pushing each basis monomial through
-a Form-level action (`GradedOperator.materialize`, `operator_matrix`).
+linear operators as exact matrices.  The blocks of d, L and Lambda and
+the compounds read the sign of e^c ^ e^K from one table per dimension
+and degree (`_wedge_table`); a Form-level action gives blocks too
+(`GradedOperator.materialize`, `operator_matrix`).
 
 Conventions (normative for the whole package):
 
@@ -26,7 +26,7 @@ multiplication, `Bivector`).
 
 from __future__ import annotations
 
-from bisect import bisect
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -91,6 +91,40 @@ def _positions(dim: int, k: int) -> dict[MultiIndex, int]:
 
 def basis_position(dim: int, key: MultiIndex) -> int:
     return _positions(dim, len(key))[key]
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(dim: int, k: int) -> tuple[array, ...]:
+    """Where e^c ^ e^K lands: entry c - 1 is an array over the degree-k lex positions i.
+
+    It holds +-(p + 1) for e^c ^ e^{K_i} = +-e^{K'}, K' at degree-(k + 1)
+    position p, with the sign (-1)^j for the j indices of K_i below c, and
+    0 when c is in K_i.  Cached and shared, so read only; all degrees of
+    dimension 14 take about 1 MB.
+    """
+    positions = _positions(dim, k)
+    table = tuple(array("i", bytes(4 * len(positions))) for _ in range(dim))
+    for p, key in enumerate(monomial_basis(dim, k + 1), 1):
+        for j, c in enumerate(key):
+            table[c - 1][positions[key[:j] + key[j + 1 :]]] = -p if j % 2 else p
+    return table
+
+
+def _wedge_columns(dim: int, k: int, pairs: Iterable, den: int) -> QMatrix:
+    """The degree-k block of wedge with the 2-form sum (c / den) e^{ab}, transposed.
+
+    *pairs* holds the terms ((a, b), c), 1-based with a < b and c != 0; row
+    i is the image of the i-th monomial K, sum c e^a ^ (e^b ^ e^K) / den,
+    in which each term lands on its own monomial K + {a, b}.
+    """
+    inner, outer = _wedge_table(dim, k), _wedge_table(dim, k + 1)
+    columns: list[dict[int, int]] = [{} for _ in range(comb(dim, k))]
+    for (a, b), c in pairs:
+        for column, t in zip(columns, inner[b - 1]):
+            u = outer[a - 1][abs(t) - 1] if t else 0
+            if u:
+                column[abs(u) - 1] = c if t * u > 0 else -c
+    return QMatrix.from_ints([(column, den) for column in columns], comb(dim, k + 2))
 
 
 def sort_with_sign(indices: Sequence[int]) -> tuple[int, MultiIndex | None]:
@@ -351,27 +385,16 @@ def _next_compound(
     expansion along the first row, over the nonzero entries only:
         C_k[a][b] = sum_j (-1)^j M[a_1][b_j] C_{k-1}[a - a_1][b - b_j].
     """
-    # landing[i][c]: the position of (the i-th (k-1)-subset) + {c + 1}, and
-    # (-1)^j for the place j that c + 1 takes in it.
-    landing = []
-    for key in monomial_basis(dim, k - 1):
-        slots = {}
-        for c in range(1, dim + 1):
-            if c not in key:
-                j = bisect(key, c)
-                slots[c - 1] = (basis_position(dim, key[:j] + (c,) + key[j:]), -1 if j % 2 else 1)
-        landing.append(slots)
-    out = []
+    table, out = _wedge_table(dim, k - 1), []
     for a in monomial_basis(dim, k):
         first = top[a[0] - 1]
         acc: dict[int, int] = {}
         for i, minor in minors[basis_position(dim, a[1:])].items():
-            slots = landing[i]
             for c, x in first.items():
-                hit = slots.get(c)
-                if hit is not None:
-                    b, sign = hit
-                    acc[b] = acc.get(b, 0) + sign * x * minor
+                t = table[c][i]
+                if t:
+                    b = abs(t) - 1
+                    acc[b] = acc.get(b, 0) + (x * minor if t > 0 else -x * minor)
         out.append({b: v for b, v in acc.items() if v})
     return out
 
@@ -490,30 +513,6 @@ class GradedOperator:
             t = dim - k if shift is None else k + shift
             if 0 <= t <= dim:
                 blocks[k] = operator_matrix(action, dim, k, t)
-        return cls(dim, shift, blocks)
-
-    @classmethod
-    def from_rule(
-        cls, dim: int, shift: int, rule: Callable[[MultiIndex], Iterable[tuple[MultiIndex, int]]],
-        den: int,
-    ) -> GradedOperator:
-        """Blocks of the operator sending e^key to sum(c e^target) / den.
-
-        *rule* yields the (target monomial, integer c) terms of each basis
-        monomial; a target may repeat, and its terms are summed.
-        """
-        blocks = {}
-        for k in range(max(0, -shift), min(dim, dim - shift) + 1):
-            positions = _positions(dim, k + shift)
-            rows: list[dict[int, int]] = [{} for _ in positions]
-            for j, key in enumerate(monomial_basis(dim, k)):
-                image: dict[MultiIndex, int] = {}
-                for target, c in rule(key):
-                    image[target] = image.get(target, 0) + c
-                for target, c in image.items():
-                    if c:
-                        rows[positions[target]][j] = c
-            blocks[k] = QMatrix.from_ints([(row, den) for row in rows], comb(dim, k))
         return cls(dim, shift, blocks)
 
 

@@ -1,13 +1,14 @@
 """Lie algebras from structure equations and their Chevalley-Eilenberg complex.
 
 The input is the tuple of coframe differentials d e^k (degree-2 forms).
-Their coefficients are held once as integers over one denominator: the
-differential extends to all degrees as an odd derivation of that integer
-table and is built once as exact blocks d_k, and every later application
-of d goes through those blocks.  The constructor checks the block
-equation d_{k+1} d_k = 0 in every degree, which is the Jacobi identity.
-The lower central and derived series and the unimodularity traces read
-the same table; `bracket` and `bracket_basis` give Fraction values.
+Their coefficients are held once as integers over one denominator.  The
+differential is built once as exact blocks d_k of the odd derivation
+sum_c (d e^c) ^ iota_c, read off the exterior wedge table, and every
+later application of d goes through them.  The constructor checks the
+block equation d_{k+1} d_k = 0 in every degree, which is the Jacobi
+identity.  The lower central and derived series and the unimodularity
+traces read the integer coefficients; `bracket` and `bracket_basis`
+give Fraction values.
 Structure constants follow the convention
 
     d e^k = - sum_{i<j} c^k_{ij} e^i ^ e^j,      [e_i, e_j] = sum_k c^k_{ij} e_k,
@@ -21,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 from .errors import JacobiViolation
-from .exterior import Form, GradedOperator, merge_with_sign, nonzero_columns
+from .exterior import Form, GradedOperator, _wedge_table, nonzero_columns
 from .linalg import QMatrix, Subspace, Vector, _int_row, _over_lcm, as_vector, combination
 from .parsing import StructureEquations
 
@@ -44,26 +46,32 @@ class LieAlgebra:
         differentials = structure.differentials
         # d e^k = sum_{i<j} n^k_ij e^ij / den, and c^k_ij = -n^k_ij / den.
         nums, den = _over_lcm([_int_row(f.coeffs) for f in differentials])
-        terms = [list(row.items()) for row in nums]
         # The integer constants den * c^k_ij, 0-based and for both orders of
         # (i, j): [e_i, e_j] = sum_k brackets[i, j][k] e_k / den.
         self._brackets: dict[tuple[int, int], dict[int, int]] = {}
         self._den = den
-        for k, entry in enumerate(terms):
-            for (i, j), n in entry:
+        for k, row in enumerate(nums):
+            for (i, j), n in row.items():
                 self._brackets.setdefault((i - 1, j - 1), {})[k] = -n
                 self._brackets.setdefault((j - 1, i - 1), {})[k] = n
 
-        def d_rule(key):
-            # Odd derivation: d e^key = sum_p (-1)^p d(e^{key_p}) ^ e^{key - key_p}.
-            for p, idx in enumerate(key):
-                rest = key[:p] + key[p + 1 :]
-                for pair, n in terms[idx - 1]:
-                    sign, merged = merge_with_sign(pair, rest)
-                    if sign:
-                        yield merged, (sign if p % 2 == 0 else -sign) * n
-
-        self.d_op = GradedOperator.from_rule(self.dim, +1, d_rule, den)
+        # d = sum_c (d e^c) ^ iota_c, and iota_c is the transpose of e^c ^ (-): a face
+        # e^R of e^{K_i} (faces[c][R] = +-(i + 1)) adds +-n e^a ^ e^b ^ e^R to column i
+        # for each term n e^{ab} of d e^c.
+        blocks = {}
+        for k in range(1, self.dim):
+            faces, upper = _wedge_table(self.dim, k - 1), _wedge_table(self.dim, k)
+            rows: list[dict[int, int]] = [{} for _ in range(comb(self.dim, k + 1))]
+            for c, row in enumerate(nums):
+                for (a, b), n in row.items():
+                    for t, u in zip(faces[c], faces[b - 1]):
+                        v = upper[a - 1][abs(u) - 1] if t and u else 0
+                        if v:
+                            i, p = abs(t) - 1, abs(v) - 1
+                            rows[p][i] = rows[p].get(i, 0) + (n if t * u * v > 0 else -n)
+            rows = [({i: x for i, x in row.items() if x}, den) for row in rows]
+            blocks[k] = QMatrix.from_ints(rows, comb(self.dim, k))
+        self.d_op = GradedOperator(self.dim, +1, blocks)
         self._verify_d_squared()
 
     def _verify_d_squared(self) -> None:

@@ -6,12 +6,12 @@ subspaces, and the explicit Lefschetz decomposition with its closed-form
 coefficients.
 
 Every operator has one exact representation: a `GradedOperator` of
-blocks.  L and Lambda are built once from integer index tables (wedge
-with omega over the lcm of its denominators, minus contraction with the
-Poisson bivector over the lcm of the pairing's); H is (n - k) I,
-d^Lambda is the block commutator d_{k-2} Lambda_k - Lambda_{k+1} d_k,
-d d^Lambda is d_{k-1} d^Lambda_k, and every Form-level operator applies
-those blocks.  Each identity is
+blocks.  L is wedge with omega and Lambda_k, minus contraction with the
+Poisson bivector, the transposed degree-(k - 2) wedge block of the
+pairing's 2-form, both read off the exterior wedge table over one
+denominator; H is (n - k) I, d^Lambda is the block commutator
+d_{k-2} Lambda_k - Lambda_{k+1} d_k, d d^Lambda is d_{k-1} d^Lambda_k,
+and every Form-level operator applies those blocks.  Each identity is
 checked as a block equation, one per degree: its residual is one
 `linalg.combination` of the blocks, tested with `is_zero`, and only a
 failing residual is searched for the monomial that the error names.
@@ -48,7 +48,7 @@ from .exterior import (
     Form,
     GradedOperator,
     _next_compound,
-    merge_with_sign,
+    _wedge_columns,
     nonzero_columns,
     wedge_pairing,
 )
@@ -459,36 +459,22 @@ class SymplecticStructure:
 
 def _wedge_operator(omega: Form) -> GradedOperator:
     """L = omega ^ (-), from omega's integer coefficients over their lcm."""
-    nums, den = _int_row(omega.coeffs)
-    terms = list(nums.items())
-
-    def rule(key):
-        for pair, c in terms:
-            sign, merged = merge_with_sign(pair, key)
-            if sign:
-                yield merged, sign * c
-
-    return GradedOperator.from_rule(omega.dim, +2, rule, den)
+    (nums, den), dim = _int_row(omega.coeffs), omega.dim
+    blocks = {k: _wedge_columns(dim, k, nums.items(), den).transpose() for k in range(dim - 1)}
+    return GradedOperator(dim, +2, blocks)
 
 
 def _contraction_operator(pairing: QMatrix) -> GradedOperator:
-    """Lambda = -iota_Pi, Pi the bivector with coefficient matrix *pairing*.
+    """Lambda = -iota_Pi, Pi the bivector with coefficient matrix *pairing* P.
 
-    iota_{e_i ^ e_j} = iota_i iota_j removes e^j at place q of e^key and
-    then e^i at place p < q, with sign (-1)^(p + q); the entries of the
-    pairing come over the lcm of its row denominators.
+    In the lex bases -iota_{e_a ^ e_b} is the transpose of e^{ab} ^ (-), so
+    Lambda_k is the transposed degree-(k - 2) block of wedge with
+    sum_{a<b} P_ab e^{ab}, over the lcm of the pairing's denominators.
     """
-    rows, den = _over_lcm(pairing.int_rows)
-    upper = {(i + 1, j + 1): x for i, nums in enumerate(rows) for j, x in nums.items() if i < j}
-
-    def rule(key):
-        for q in range(1, len(key)):
-            for p in range(q):
-                c = upper.get((key[p], key[q]))
-                if c:
-                    yield key[:p] + key[p + 1 : q] + key[q + 1 :], c if (p + q) % 2 else -c
-
-    return GradedOperator.from_rule(pairing.nrows, -2, rule, den)
+    (rows, den), dim = _over_lcm(pairing.int_rows), pairing.nrows
+    pairs = [((i + 1, j + 1), x) for i, nums in enumerate(rows) for j, x in nums.items() if i < j]
+    blocks = {k: _wedge_columns(dim, k - 2, pairs, den) for k in range(2, dim + 1)}
+    return GradedOperator(dim, -2, blocks)
 
 
 def _r_range(k: int, n: int) -> range:
@@ -497,8 +483,11 @@ def _r_range(k: int, n: int) -> range:
 
 def _coefficient_matrix(omega: Form) -> QMatrix:
     """The antisymmetric matrix W of a 2-form: W[i][j] is the coefficient of e^{i+1, j+1}."""
-    indices = range(1, omega.dim + 1)
-    return QMatrix([[omega.coefficient((i, j)) for j in indices] for i in indices])
+    nums, den = _int_row(omega.coeffs)
+    rows: list[dict[int, int]] = [{} for _ in range(omega.dim)]
+    for (i, j), x in nums.items():
+        rows[i - 1][j - 1], rows[j - 1][i - 1] = x, -x
+    return QMatrix.from_ints([(row, den) for row in rows], omega.dim)
 
 
 @lru_cache(maxsize=1)

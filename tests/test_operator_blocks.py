@@ -1,8 +1,9 @@
 """The integer-table operator blocks against Form-level oracles.
 
-d, L and Lambda are built from index tables over one denominator
-(`GradedOperator.from_rule`).  Here each block is compared with the block
-that `GradedOperator.materialize` builds by pushing every basis monomial
+d, L and Lambda are built over one denominator from the wedge table
+(`exterior._wedge_table`), which is checked here against
+`merge_with_sign`.  Each block is compared with the block that
+`GradedOperator.materialize` builds by pushing every basis monomial
 through the defining Form action, and `check_properties` is compared
 with lower central and derived series computed from the Fraction
 `bracket`.
@@ -10,6 +11,7 @@ with lower central and derived series computed from the Fraction
 
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -24,11 +26,19 @@ from sympcoh import (
     contract,
     corpus,
     load_model,
+    parse_form,
     parse_structure_equations,
     structure_from_model,
+    validate_symplectic,
 )
 from sympcoh import lie, symplectic
-from sympcoh.exterior import GradedOperator
+from sympcoh.exterior import (
+    GradedOperator,
+    _wedge_table,
+    basis_position,
+    merge_with_sign,
+    monomial_basis,
+)
 from sympcoh.verify import BASE_STRUCTURES, random_symplectic_structure
 
 MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
@@ -65,7 +75,24 @@ def assert_blocks_match_form_actions(s):
             assert built.block(k) == oracle.block(k), f"{name} block on degree {k}"
 
 
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_wedge_table_agrees_with_merge_with_sign(dim):
+    for k in range(dim + 1):
+        table = _wedge_table(dim, k)
+        assert len(table) == dim
+        for c in range(1, dim + 1):
+            assert len(table[c - 1]) == comb(dim, k)
+            for i, key in enumerate(monomial_basis(dim, k)):
+                sign, merged = merge_with_sign((c,), key)
+                want = sign * (basis_position(dim, merged) + 1) if sign else 0
+                assert table[c - 1][i] == want, f"e^{c} ^ e^{key} on dim {dim}"
+
+
 def _structures():
+    # The smallest table: R^2 with omega = e^12.
+    yield "abelian2", lambda: validate_symplectic(
+        build_lie_algebra(parse_structure_equations("0,0")), parse_form("12", 2)
+    )
     for model in corpus():
         yield model.name, lambda model=model: structure_from_model(model)
     for name in ("nil8", "nil10"):
