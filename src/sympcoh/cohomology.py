@@ -12,10 +12,10 @@ forms, with respect to the standard inner product on coefficient
 vectors (the one induced by declaring the coframe orthonormal).
 
 Every cohomology is a `CohomologySpace`: numerator, denominator and a
-label, with the inclusion checked on construction and the quotient
-structure built on first use.  Maps into cohomology work on whole
-blocks: the class coordinates of every row of a block come from one
-`CohomologySpace.class_matrix` product
+label over one `linalg.QuotientSpace`, which checks the inclusion on
+construction and builds its representatives on first use.  Maps into
+cohomology work on whole blocks: the class coordinates of every row of
+a block come from one `CohomologySpace.class_matrix` product
 (the H^(r,s) classes, the maps induced by L^r, the comparison of
 H_(d+d^Lambda) with H_dR), and the H^(r,s) representatives are the
 product of the class basis with the representative basis.  Sums,
@@ -44,7 +44,9 @@ from functools import cached_property
 from math import comb
 from typing import Mapping, Sequence
 
-from .errors import AmbientMismatch, InternalInconsistencyError, NotInSubspace, NotUnimodular
+from .errors import (
+    AmbientMismatch, InternalInconsistencyError, NotInSubspace, NotSubspace, NotUnimodular,
+)
 from .exterior import Form, wedge_pairing
 from .lie import AlgebraProperties, LieAlgebra, check_properties
 from .linalg import (
@@ -52,7 +54,6 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     Vector,
-    _unchecked_quotient,
     image,
     image_meet_kernel,
     kernel,
@@ -75,9 +76,9 @@ __all__ = [
 class CohomologySpace:
     """One degree of a ker/im quotient with harmonic representatives.
 
-    The constructor checks that the denominator lies in the numerator;
-    the quotient structure and the representatives are built on first
-    use.  *label* names the cohomology in the errors, which are
+    The constructor builds the `QuotientSpace`, which checks that the
+    denominator lies in the numerator; its representatives are built on
+    first use.  *label* names the cohomology in the errors, which are
     InternalInconsistencyError: every quotient here is backed by a
     theorem (d^2 = 0 and its relatives), so a failure is a bug.
     """
@@ -91,20 +92,17 @@ class CohomologySpace:
         self.numerator = numerator
         self.denominator = denominator
         self.label = label
-        if not numerator.contains_subspace(denominator):
-            raise self._error("the denominator is not contained in the numerator")
+        try:
+            self.quotient = QuotientSpace(numerator, denominator)
+        except NotSubspace as exc:
+            raise self._error(str(exc)) from None
 
     def _error(self, what: str) -> InternalInconsistencyError:
         return InternalInconsistencyError(f"{self.label} in degree {self.degree}: {what}")
 
     @property
     def dim(self) -> int:
-        return self.numerator.dim - self.denominator.dim
-
-    @cached_property
-    def quotient(self) -> QuotientSpace:
-        # The constructor has checked the inclusion.
-        return _unchecked_quotient(self.denominator, self.numerator)
+        return self.quotient.dim
 
     @property
     def representative_rows(self) -> QMatrix:

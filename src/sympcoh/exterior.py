@@ -4,8 +4,10 @@ Sparse multivectors with exact rational coefficients in the lexicographic
 monomial basis, wedge products, contraction with a bivector, and graded
 linear operators as exact matrices.  The blocks of d, L and Lambda and
 the compounds read the sign of e^c ^ e^K from one table per dimension
-and degree (`_wedge_table`); a Form-level action gives blocks too
-(`GradedOperator.materialize`, `operator_matrix`).
+and degree (`_wedge_table`); the compounds of a matrix come from one
+walk, `_compounds`, that builds each from the one before.  A Form-level
+action gives blocks too (`GradedOperator.materialize`,
+`operator_matrix`).
 
 Conventions (normative for the whole package):
 
@@ -32,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimMismatch, MixedDegree
 from .linalg import IntRow, QMatrix, SparseRow, Vector, _exact, _int_row
@@ -299,13 +301,6 @@ class Form:
                     acc[merged] = acc.get(merged, _ZERO) + sign * ca * cb
         return Form(self.dim, target, acc)
 
-    def coefficient(self, indices: Sequence[int]) -> Fraction:
-        """Coefficient of e^{indices} (indices may come unsorted)."""
-        sign, key = sort_with_sign(tuple(indices))
-        if sign == 0:
-            return _ZERO
-        return sign * self.coeffs.get(key, _ZERO)
-
     def coeff_vector(self) -> Vector:
         return tuple(
             self.coeffs.get(key, _ZERO) for key in monomial_basis(self.dim, self.degree)
@@ -373,30 +368,34 @@ def wedge_pairing(dim: int, k: int) -> QMatrix:
     return QMatrix.from_ints(rows, comb(dim, dim - k))
 
 
-def _next_compound(
-    top: list[dict[int, int]], minors: list[dict[int, int]], dim: int, k: int
-) -> list[dict[int, int]]:
-    """Rows of the k-th compound C_k of an integer matrix M, from C_{k-1}.
+def _compounds(top: list[dict[int, int]], dim: int) -> Iterator[list[dict[int, int]]]:
+    """Rows of the compounds C_0, C_1, ..., C_dim of an integer dim x dim matrix M, in turn.
 
     C_k[a][b] = det M[a, b] is the matrix of the k-th exterior power of M
     in the lex bases: the star's Gram blocks and the coframe change of
     forms are compounds.  *top* holds the rows of M = C_1; every row is
-    {column: nonzero entry} over 0-based lex positions.  Laplace
-    expansion along the first row, over the nonzero entries only:
+    {column: nonzero entry} over 0-based lex positions.  C_0 is the 1 x 1
+    identity, and each C_k is built from C_{k-1} by Laplace expansion
+    along the first row, over the nonzero entries only:
         C_k[a][b] = sum_j (-1)^j M[a_1][b_j] C_{k-1}[a - a_1][b - b_j].
+    Only the last compound is kept.
     """
-    table, out = _wedge_table(dim, k - 1), []
-    for a in monomial_basis(dim, k):
-        first = top[a[0] - 1]
-        acc: dict[int, int] = {}
-        for i, minor in minors[basis_position(dim, a[1:])].items():
-            for c, x in first.items():
-                t = table[c][i]
-                if t:
-                    b = abs(t) - 1
-                    acc[b] = acc.get(b, 0) + (x * minor if t > 0 else -x * minor)
-        out.append({b: v for b, v in acc.items() if v})
-    return out
+    minors = [{0: 1}]
+    yield minors
+    for k in range(1, dim + 1):
+        table, out = _wedge_table(dim, k - 1), []
+        for a in monomial_basis(dim, k):
+            first = top[a[0] - 1]
+            acc: dict[int, int] = {}
+            for i, minor in minors[basis_position(dim, a[1:])].items():
+                for c, x in first.items():
+                    t = table[c][i]
+                    if t:
+                        b = abs(t) - 1
+                        acc[b] = acc.get(b, 0) + (x * minor if t > 0 else -x * minor)
+            out.append({b: v for b, v in acc.items() if v})
+        minors = out
+        yield minors
 
 
 @dataclass(frozen=True)

@@ -34,14 +34,15 @@ elimination: `kernel` reads its RREF basis off the free vectors of one
 `rref`, and the quotient complement and `subspace_intersect` read theirs
 off a kernel or a Zassenhaus block; only `Subspace.spanned` reduces an
 arbitrary generating set.  All values are immutable after
-construction and all functions are pure; nothing here keeps shared
-mutable state.
+construction, apart from data their owner derives on first use (a
+quotient's complement and solver), and all functions are pure; nothing
+here keeps shared mutable state.
 
 Degenerate inputs (a zero quotient, a meet with the zero space) take
 the general path.  A fast path stays where replaying the inputs of one
 corpus and one verify6 cycle showed it paying, in ms per op: `kernel`
 and `image` of a zero block (0.09-0.15 vs 0.32-0.57, 0.02-0.04 vs
-0.07-0.14), `_unchecked_quotient` with w = 0 (0.01 vs 0.19-0.29),
+0.07-0.14), `QuotientSpace.complement` with w = 0 (0.01 vs 0.19-0.29),
 `transpose` of integer rows without `from_ints` (0.40-0.86 vs 0.61-1.30)
 and `from_ints` on an empty row (7% on verify6); `Subspace._remainder`
 walks the shorter of the vector and the pivots, as one order slowed the
@@ -709,10 +710,11 @@ def image_meet_kernel(m: QMatrix, a: QMatrix) -> Subspace:
 class QuotientSpace:
     """Quotient v / w with orthogonal-complement representatives.
 
-    Representatives are the canonical basis of v intersected with the
-    orthogonal complement of w under the standard dot product on
-    coefficient vectors; `coordinates` writes any x in v as
-    (representative part, w part) and returns the representative
+    `QuotientSpace(v, w)` checks w <= v (NotSubspace), and `dim` is
+    dim v - dim w.  Representatives are the canonical basis of v
+    intersected with the orthogonal complement of w under the standard
+    dot product on coefficient vectors; `coordinates` writes any x in v
+    as (representative part, w part) and returns the representative
     coordinates, which vanish exactly when x lies in w.  `class_matrix`
     does the same for every row of a block at once.
 
@@ -726,11 +728,32 @@ class QuotientSpace:
 
     total: Subspace
     sub: Subspace
-    complement: Subspace  # its basis rows are the representatives
+
+    def __post_init__(self):
+        if not self.total.contains_subspace(self.sub):
+            raise NotSubspace("the denominator is not contained in the numerator")
 
     @property
     def dim(self) -> int:
-        return self.complement.dim
+        return self.total.dim - self.sub.dim
+
+    @cached_property
+    def complement(self) -> Subspace:
+        """v meet the orthogonal complement of w; its basis rows are the representatives.
+
+        The representatives C span v meet the orthogonal complement of w,
+        taken as K V for the basis rows V of v and W of w and the RREF basis
+        K of ker(W V^T) (C = V when w = 0).  K V already is in RREF.  Row i
+        of K is 1 at its lead q_i, zero at the other leads q_j, and nonzero
+        elsewhere only after q_i; row q of V is 1 at its lead p_q and zero at
+        the other leads.  So row i of K V is V's row q_i plus rows whose
+        leads come after p_{q_i}: its lead is 1 at p_{q_i}, and it is zero
+        at every other p_{q_j}.
+        """
+        v, w = self.total, self.sub
+        if not w.dim:
+            return v  # every vector is orthogonal to the zero space
+        return Subspace(v.ambient_dim, kernel(w.basis @ v.basis.transpose()).basis @ v.basis)
 
     @property
     def representatives(self) -> tuple[Vector, ...]:
@@ -768,26 +791,4 @@ class QuotientSpace:
 
 def quotient_structure(w: Subspace, v: Subspace) -> QuotientSpace:
     """Quotient structure for v / w (requires w <= v, else NotSubspace)."""
-    _check_ambient(w, v)
-    if not v.contains_subspace(w):
-        raise NotSubspace("the denominator is not contained in the numerator")
-    return _unchecked_quotient(w, v)
-
-
-def _unchecked_quotient(w: Subspace, v: Subspace) -> QuotientSpace:
-    """`quotient_structure` for a caller that has already checked w <= v.
-
-    The representatives C span v meet the orthogonal complement of w,
-    taken as K V for the basis rows V of v and W of w and the RREF basis
-    K of ker(W V^T) (C = V when w = 0).  K V already is in RREF.  Row i
-    of K is 1 at its lead q_i, zero at the other leads q_j, and nonzero
-    elsewhere only after q_i; row q of V is 1 at its lead p_q and zero at
-    the other leads.  So row i of K V is V's row q_i plus rows whose
-    leads come after p_{q_i}: its lead is 1 at p_{q_i}, and it is zero
-    at every other p_{q_j}.
-    """
-    if w.dim:
-        complement = Subspace(v.ambient_dim, kernel(w.basis @ v.basis.transpose()).basis @ v.basis)
-    else:
-        complement = v  # every vector is orthogonal to the zero space
-    return QuotientSpace(v, w, complement)
+    return QuotientSpace(v, w)

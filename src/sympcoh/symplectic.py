@@ -17,7 +17,8 @@ checked as a block equation, one per degree: its residual is one
 failing residual is searched for the monomial that the error names.
 The Lefschetz projectors are checked the same way on every call, on the
 Darboux model of the dimension, and applied to the form as a one-column
-block.  omega^n is the 1 x 1 block L^n from degree 0.
+block.  omega^n is the 1 x 1 block L^n from degree 0.  The star's Gram
+blocks come from one walk of `exterior._compounds`, and none is kept.
 
 Sign conventions are pinned operationally: construction asserts
 Lambda(omega) = n and Lambda_{k+2} L_k - L_{k-2} Lambda_k = H_k in every
@@ -33,8 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
+from itertools import islice
 from math import comb, factorial, prod
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import (
     Degenerate,
@@ -47,7 +49,7 @@ from .exterior import (
     Bivector,
     Form,
     GradedOperator,
-    _next_compound,
+    _compounds,
     _wedge_columns,
     nonzero_columns,
     wedge_pairing,
@@ -140,9 +142,9 @@ class SymplecticStructure:
     """Validated symplectic form on a Lie algebra, with operator blocks.
 
     Eagerly materialized: L, Lambda, H, d^Lambda (as the commutator
-    [d, Lambda]), d d^Lambda and the pairing matrix data.  The star blocks live in a
-    cached property and carry their own identity checks; powers of L and
-    the primitive subspaces are memoized per degree.
+    [d, Lambda]), d d^Lambda and the pairing matrix.  The star blocks live
+    in a cached property and carry their own identity checks; powers of L
+    and the primitive subspaces are memoized per degree.
     """
 
     def __init__(self, g: LieAlgebra, omega: Form):
@@ -168,11 +170,10 @@ class SymplecticStructure:
             raise Degenerate("omega^n = 0")
         self.omega_top = Form.monomial(self.dim, range(1, self.dim + 1), self.volume_coeff)
 
-        self.W = _coefficient_matrix(omega)
-        self.Winv = inverse(self.W)
-        # Pairing of 1-forms: omega^{-1}(e^i, e^j) = (W^{-1})^T[i][j];
-        # the Poisson bivector Pi has the same coefficient matrix.
-        self.pairing = self.Winv.transpose()
+        # Pairing of 1-forms: omega^{-1}(e^i, e^j) = (W^{-1})^T[i][j] for the
+        # coefficient matrix W of omega; the Poisson bivector Pi has the same
+        # coefficient matrix.
+        self.pairing = inverse(_coefficient_matrix(omega)).transpose()
 
         self.Lambda_op = _contraction_operator(self.pairing)
         degrees = range(self.dim + 1)
@@ -186,7 +187,6 @@ class SymplecticStructure:
         self.ddLambda_op = GradedOperator(
             self.dim, 0, {k: d(k - 1) @ self.d_lambda_block(k) for k in degrees[1:]}
         )
-        self._minors: tuple[int, list[dict[int, int]]] | None = None
 
         self._validate_sl2()
 
@@ -282,23 +282,23 @@ class SymplecticStructure:
 
     # -- symplectic star ------------------------------------------------------
 
-    def pairing_matrix(self, k: int) -> QMatrix:
-        """Gram matrix of the degree-k pairing (omega^{-1})^k in the lex basis.
+    def _gram_blocks(self) -> Iterator[QMatrix]:
+        """Gram matrices of the degree-k pairings (omega^{-1})^k, k = 0..dim, in turn.
 
-        Entries are the k-minors det(omega^{-1}(e^{a_i}, e^{b_j})).  With
-        P the pairing matrix and D the lcm of its denominators, the block
-        is C_k / D^k for C_k the k-th compound of the integer matrix D P.
-        Compounds are built degree by degree from the previous one, which
-        is kept for the next call.
+        Entries are the k-minors det(omega^{-1}(e^{a_i}, e^{b_j})) in the
+        lex basis.  With P the pairing matrix and D the lcm of its
+        denominators, block k is C_k / D^k for C_k the k-th compound of the
+        integer matrix D P, from one walk of `_compounds`.
         """
         top, den = _over_lcm(self.pairing.int_rows)
-        done, minors = self._minors or (0, [{0: 1}])
-        if done > k:
-            done, minors = 0, [{0: 1}]
-        for j in range(done + 1, k + 1):
-            minors = _next_compound(top, minors, self.dim, j)
-        self._minors = (k, minors)
-        return QMatrix.from_ints([(row, den**k) for row in minors], len(minors))
+        for k, minors in enumerate(_compounds(top, self.dim)):
+            yield QMatrix.from_ints([(row, den**k) for row in minors], len(minors))
+
+    def pairing_matrix(self, k: int) -> QMatrix:
+        """Gram matrix of the degree-k pairing (omega^{-1})^k in the lex basis."""
+        if not 0 <= k <= self.dim:
+            raise ValueError(f"degree {k} outside 0..{self.dim}")
+        return next(islice(self._gram_blocks(), k, None))
 
     @cached_property
     def star_op(self) -> GradedOperator:
@@ -313,14 +313,12 @@ class SymplecticStructure:
         k is c S_k^T G_k for the Gram matrix G_k and the Liouville volume
         coefficient c.
         """
-        c, m = self.volume_coeff / factorial(self.n), self.dim
-        try:
-            blocks = {
-                k: combination([(c, wedge_pairing(m, k).transpose(), self.pairing_matrix(k))])
-                for k in range(m + 1)
-            }
-        finally:
-            self._minors = None
+        c, m, walk = self.volume_coeff / factorial(self.n), self.dim, self._gram_blocks()
+        # next(walk), not a loop variable, so each Gram block is freed before the next is built.
+        blocks = {
+            k: combination([(c, wedge_pairing(m, k).transpose(), next(walk))])
+            for k in range(m + 1)
+        }
         op = GradedOperator(self.dim, None, blocks)
         self._validate_star(op)
         return op

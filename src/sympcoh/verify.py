@@ -30,11 +30,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from .cohomology import SymplecticCohomology, is_abelian
 from .errors import InternalInconsistencyError, SympcohError
-from .exterior import Form, _next_compound, monomial_basis, nonzero_columns
+from .exterior import Form, _compounds, monomial_basis, nonzero_columns
 from .lie import LieAlgebra, build_lie_algebra
 from .linalg import (
     QMatrix,
@@ -182,8 +183,8 @@ def transform_coframe(
     M D C_2(M^{-1}) for the matrix D whose rows are the d e^j.
     """
     dim, width = structure.dim, comb(structure.dim, 2)
-    top, den = _over_lcm(inverse(change).int_rows)
-    minors = _next_compound(top, top, dim, 2)  # C_2 of the integer matrix den * M^{-1}
+    top, den = _over_lcm(inverse(change).int_rows)  # the integer matrix den * M^{-1}
+    minors = next(islice(_compounds(top, dim), 2, None))  # and its C_2
     second = QMatrix.from_ints([(row, den * den) for row in minors], width)
     diffs = QMatrix.from_sparse([d.sparse_vector() for d in structure.differentials], width)
     rows = (change @ diffs @ second).sparse_rows

@@ -11,6 +11,7 @@ from sympcoh import (
     InternalInconsistencyError,
     NotUnimodular,
     QMatrix,
+    QuotientSpace,
     SymplecticCohomology,
     Subspace,
     build_lie_algebra,
@@ -165,19 +166,15 @@ class TestOneQuotientType:
             space.class_matrix(QMatrix([outside]))
 
     def test_reading_only_the_dimension_builds_no_quotient(self, monkeypatch):
-        import sympcoh.cohomology
-
-        calls = []
-        original = sympcoh.cohomology._unchecked_quotient
-        monkeypatch.setattr(
-            sympcoh.cohomology,
-            "_unchecked_quotient",
-            lambda w, v: calls.append(v.dim) or original(w, v),
-        )
+        """`dim` builds no complement; the representatives build exactly one."""
+        built = []
+        complement = QuotientSpace.complement  # the cached_property itself
+        original = complement.func
+        monkeypatch.setattr(complement, "func", lambda q: built.append(q.dim) or original(q))
         engine = SymplecticCohomology(structure_from_model(corpus_model("example2")))
         space = engine.primitive_ph_plus(2)
-        assert space.dim == 2 and calls == []
-        assert len(space.representatives) == 2 and len(calls) == 1
+        assert space.dim == 2 and built == []
+        assert len(space.representatives) == 2 and built == [2]
 
     def test_the_class_solver_is_built_on_first_use(self, monkeypatch):
         import sympcoh.linalg

@@ -248,6 +248,14 @@ class TestQuotient:
         assert rref_calls == alone == [(1, 3)]
         assert complement.dim == 2
 
+    def test_the_dimension_needs_no_elimination(self, rref_calls):
+        v = Subspace.from_vectors(4, [[1, 0, 2, 1], [0, 1, 1, -1], [1, 1, 0, F("1/2")]])
+        w = Subspace.from_vectors(4, [[2, 1, 5, 1]])
+        rref_calls.clear()
+        q = quotient_structure(w, v)
+        assert q.dim == 2 and rref_calls == []
+        assert q.complement.dim == 2 and rref_calls == [(1, 3)]
+
     def test_not_subspace(self):
         v = Subspace.from_vectors(3, [[1, 0, 0]])
         w = Subspace.from_vectors(3, [[0, 1, 0]])

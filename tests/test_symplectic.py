@@ -19,6 +19,7 @@ from sympcoh import (
     OddDimension,
     QMatrix,
     build_lie_algebra,
+    corpus_model,
     lefschetz_coefficient,
     load_model,
     parse_form,
@@ -352,8 +353,9 @@ NIL8 = Path(__file__).resolve().parents[1] / "perfbench" / "models" / "nil8.mode
 def test_pairing_blocks_are_the_minors_of_the_pairing(seed):
     """Every entry of the degree-k Gram block is the matching k x k minor.
 
-    The degrees run downwards, so each block is built afresh; `star_op`
-    builds them upwards, each from the one before.
+    Each `pairing_matrix` call walks the compounds afresh from C_0, here
+    with the degrees running downwards; `star_op` takes every block from
+    one walk.
     """
     if seed is None:
         s = structure_from_model(load_model(NIL8))
@@ -367,3 +369,22 @@ def test_pairing_blocks_are_the_minors_of_the_pairing(seed):
             for j, b in enumerate(basis):
                 minor = QMatrix([[pairing[r - 1][c - 1] for c in b] for r in a], len(b))
                 assert gram[i][j] == det(minor), (k, a, b)
+
+
+def test_gram_blocks_leave_no_state_on_the_structure():
+    """`pairing_matrix` keeps nothing; `star_op` adds only its own cache entry."""
+    s = structure_from_model(corpus_model("example1"))
+    state = dict(vars(s))
+    s.pairing_matrix(3)
+    s.pairing_matrix(1)
+    assert vars(s) == state
+    s.star_op
+    assert vars(s).keys() - state.keys() == {"star_op"}
+    assert all(vars(s)[key] is value for key, value in state.items())
+
+
+def test_pairing_matrix_of_a_degree_outside_the_complex_raises():
+    s = structure_from_model(corpus_model("example1"))
+    for k in (-1, s.dim + 1):
+        with pytest.raises(ValueError, match=rf"degree {k} outside 0\.\.6"):
+            s.pairing_matrix(k)

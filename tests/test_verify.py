@@ -143,8 +143,8 @@ def test_perturbed_edge_dlambda_block_fails_commutation(k):
 @pytest.mark.parametrize("factor", [-1, 2])
 def test_corrupted_star_block_raises(k, factor):
     s = structure_from_model(corpus_model("example1"))
-    gram = s.pairing_matrix
-    s.pairing_matrix = lambda j: gram(j).scaled(factor) if j == k else gram(j)
+    walk = s._gram_blocks
+    s._gram_blocks = lambda: (g.scaled(factor) if j == k else g for j, g in enumerate(walk()))
     with pytest.raises(InternalInconsistencyError, match=r"on degree \d at e\("):
         s.star_op
 
