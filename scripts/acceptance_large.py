@@ -37,8 +37,8 @@ two checkouts can be compared in alternating runs.  The verify runs
 first, so its peak is its own; a later line shows a larger peak only
 when that report, or what it left cached, needed more.  Exits 1 when
 any check fails.  pytest does not collect this file.  On a 2-core x86-64 VM, the dim-10 verify takes
-about 2-3 s and 32 MB; nil14, the largest nice-basis report, about
-4-5 s; and generic nil10 about 15 s.
+2.3-2.7 s and 32 MB; nil14, the largest nice-basis report, 5.4-6.6 s
+and 94 MB; and generic nil10 17-22 s.
 """
 
 from __future__ import annotations

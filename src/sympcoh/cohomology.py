@@ -13,18 +13,19 @@ vectors (the one induced by declaring the coframe orthonormal).
 
 Every cohomology is a `CohomologySpace`: numerator, denominator and a
 label over one `linalg.QuotientSpace`, which checks the inclusion on
-construction and builds its representatives on first use.  Maps into
-cohomology work on whole blocks: the class coordinates of every row of
-a block come from one `CohomologySpace.class_matrix` product
-(the H^(r,s) classes, the maps induced by L^r, the comparison of
-H_(d+d^Lambda) with H_dR), and the H^(r,s) representatives are the
-product of the class basis with the representative basis.  Sums,
-pushes and pairings of classes are block products too: the H^(r,s) of
-one degree are summed by one elimination of their stacked class bases,
-L^r H^(0,s) is the class basis times the induced matrix, and the cup
-pairing is V S W^T for the representative bases V, W and the signed
-permutation S of `exterior.wedge_pairing`.  Kernels and images that two
-cohomologies share are computed once per engine:
+construction and builds its representatives on first use.  Each
+decision asks which classes a block of closed forms spans in a target
+cohomology; `CohomologySpace.classes_of` answers with one `class_matrix`
+product and one elimination.  H^(r,s) is the span of the closed part of
+L^r P^s, and L^r H^(0,s) that of L^r of the H^(0,s) representatives.
+Hard Lefschetz (of H_dR and of H_(d+d^Lambda)) holds at k when L^k of
+the H^(n-k) representatives spans dim H^(n-k) = dim H^(n+k) classes, and
+the dd^Lambda-lemma in degree k when the H_(d+d^Lambda) representatives
+span as many de Rham classes as there are of them.  The H^(r,s) of one
+degree are summed by one elimination of their stacked class bases, and
+the cup pairing is V S W^T for the representative bases V, W and the
+signed permutation S of `exterior.wedge_pairing`.  Kernels and images
+that two cohomologies share are computed once per engine:
 ker [d; d^Lambda; Lambda] for both primitive cohomologies, im d^Lambda
 for the d^Lambda and d d^Lambda cohomologies, and im d from de Rham.
 
@@ -57,7 +58,6 @@ from .linalg import (
     image,
     image_meet_kernel,
     kernel,
-    rref,
     subspace_sum,
 )
 from .symplectic import SymplecticStructure, _memo, _r_range
@@ -119,6 +119,10 @@ class CohomologySpace:
             return self.quotient.class_matrix(rows)
         except NotInSubspace as exc:
             raise self._error(str(exc)) from None
+
+    def classes_of(self, rows: QMatrix) -> Subspace:
+        """Span of the classes of the closed rows *rows*, in class coordinates."""
+        return Subspace.spanned(self.class_matrix(rows).transpose())
 
     def class_of(self, form: Form | Sequence) -> Vector:
         """Coordinates of a cocycle's class w.r.t. the representatives."""
@@ -320,7 +324,7 @@ class SymplecticCohomology:
         prim = self.s.primitive_subspace(s)
         lifted = self.s.L_power_block(r, s) @ prim.basis.transpose()
         closed_part = image_meet_kernel(lifted, self.s.d_block(degree))
-        classes = Subspace.spanned(space.class_matrix(closed_part.basis).transpose())
+        classes = space.classes_of(closed_part.basis)
         rows = classes.basis @ space.representative_rows
         return HrsGroup(r, s, degree, classes.dim, classes, rows, dim)
 
@@ -343,39 +347,35 @@ class SymplecticCohomology:
     def l_cohomology_matrix(self, power: int, from_degree: int) -> QMatrix:
         """Matrix of L^power from H^from_degree to H^{from_degree + 2 power}.
 
-        Well-defined because [d, L] = 0; each representative is pushed
-        through the L^power block and projected back to class coordinates.
+        The `class_matrix` of L^power of the representatives, well-defined
+        because [d, L] = 0.  The decisions take `classes_of` instead.
         """
-        return _induced_l_power(
-            self.s, power, self.de_rham[from_degree], self.de_rham[from_degree + 2 * power]
-        )
+        lift = self.s.L_power_block(power, from_degree)
+        lifted = self.de_rham[from_degree].representative_rows @ lift.transpose()
+        return self.de_rham[from_degree + 2 * power].class_matrix(lifted)
+
+    def _lefschetz_iso(self, spaces: Sequence[CohomologySpace], k: int) -> bool:
+        """Whether L^k maps spaces[n - k] isomorphically onto spaces[n + k]."""
+        n = self.s.n
+        low, high = spaces[n - k], spaces[n + k]
+        if low.dim != high.dim:
+            return False
+        lifted = low.representative_rows @ self.s.L_power_block(k, n - k).transpose()
+        return high.classes_of(lifted).dim == low.dim
 
     @_memo
     def hlc(self) -> HlcResult:
         """Hard Lefschetz: L^k iso on cohomology for every k in 0..n."""
-        per_degree = []
-        n = self.s.n
-        for k in range(n + 1):
-            b_low = self.betti[n - k]
-            b_high = self.betti[n + k]
-            if b_low != b_high:
-                per_degree.append(False)
-                continue
-            matrix = self.l_cohomology_matrix(k, n - k)
-            _, _, rank = rref(matrix)
-            per_degree.append(rank == b_low)
-        return HlcResult(tuple(per_degree), all(per_degree))
+        per_degree = tuple(self._lefschetz_iso(self.de_rham, k) for k in range(self.s.n + 1))
+        return HlcResult(per_degree, all(per_degree))
 
     @_memo
     def dd_lemma_per_degree(self) -> tuple[bool, ...]:
         """Injectivity of H_{d+d^Lambda} -> H_dR, degree by degree."""
-        results = []
-        for k in range(self.s.dim + 1):
-            space = self.d_plus_dlambda[k]
-            matrix = self.de_rham[k].class_matrix(space.representative_rows)
-            _, _, rank = rref(matrix)
-            results.append(rank == space.dim)
-        return tuple(results)
+        return tuple(
+            self.de_rham[k].classes_of(space.representative_rows).dim == space.dim
+            for k, space in enumerate(self.d_plus_dlambda)
+        )
 
     def dd_lemma(self) -> bool:
         return all(self.dd_lemma_per_degree())
@@ -434,11 +434,10 @@ class SymplecticCohomology:
                 if r == 0:
                     results[(0, s)] = True
                     continue
-                base = self.hrs_group(0, s)
-                target = self.hrs_group(r, s)
-                matrix = self.l_cohomology_matrix(r, s)
-                pushed = Subspace.spanned(base.classes.basis @ matrix.transpose())
-                if pushed != target.classes:
+                lift = self.s.L_power_block(r, s)
+                lifted = self.hrs_group(0, s).representative_rows @ lift.transpose()
+                pushed = self.de_rham[2 * r + s].classes_of(lifted)
+                if pushed != self.hrs_group(r, s).classes:
                     raise InternalInconsistencyError(
                         f"H^({r},{s}) != L^{r} H^(0,{s})"
                     )
@@ -462,16 +461,10 @@ class SymplecticCohomology:
         """
         n = self.s.n
         for k in range(n + 1):
-            low = self.d_plus_dlambda[n - k]
-            high = self.d_plus_dlambda[n + k]
-            if low.dim != high.dim:
+            if not self._lefschetz_iso(self.d_plus_dlambda, k):
                 raise InternalInconsistencyError(
-                    f"H_(d+d^Lambda) dims differ: {low.dim} vs {high.dim} at k={k}"
-                )
-            _, _, rank = rref(_induced_l_power(self.s, k, low, high))
-            if rank != low.dim:
-                raise InternalInconsistencyError(
-                    f"L^{k} not injective on H^{n - k}_(d+d^Lambda)"
+                    f"L^{k} is not an isomorphism from H^{n - k}_(d+d^Lambda) "
+                    f"to H^{n + k}_(d+d^Lambda)"
                 )
         for k in range(self.s.dim + 1):
             # Summands with r < k - n vanish: L^r kills primitives of
@@ -496,13 +489,3 @@ class SymplecticCohomology:
                     )
             results[k] = True
         return results
-
-
-def _induced_l_power(
-    s: SymplecticStructure, power: int, source: CohomologySpace, target: CohomologySpace
-) -> QMatrix:
-    """Matrix of L^power from *source* to *target* in class coordinates."""
-    lift = s.L_power_block(power, source.degree)
-    # Row i: L^power of representative i.
-    images = source.representative_rows @ lift.transpose()
-    return target.class_matrix(images)

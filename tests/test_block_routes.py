@@ -6,15 +6,18 @@ compound of the inverse change; a random closed 2-form is one row
 product with the closed basis; the decomposition sum, L^r H^(0,s) and the
 H^(k,0) meet H^(0,2k) check are eliminations of stacked or multiplied
 blocks; class coordinates of one vector are the one-row case of
-`class_matrix`.  Each is checked here against the route it replaced
-(Form wedges and substitutions, sums of `Form.from_vector`, the running
-`subspace_sum` fold, per-vector `apply`, the
-Zassenhaus `subspace_intersect`), which stays in this file as the
+`class_matrix`; HLC, the dd^Lambda-lemma, the Hard Lefschetz of
+H_(d+d^Lambda) and L^r H^(0,s) are all `CohomologySpace.classes_of`.
+Each is checked here against the route it replaced (Form wedges and
+substitutions, sums of `Form.from_vector`, the running `subspace_sum`
+fold, per-vector `apply`, the Zassenhaus `subspace_intersect`, the
+`rref` rank of an induced matrix), which stays in this file as the
 oracle.  Every `QMatrix` constructor is checked to give the same
 canonical integer rows and to keep none of its caller's containers.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, lcm
@@ -35,6 +38,7 @@ from sympcoh import (
     kernel,
     load_model,
     parse_structure_equations,
+    rref,
     structure_from_model,
     subspace_intersect,
     subspace_sum,
@@ -233,6 +237,86 @@ def test_lr_push_matches_per_vector_apply(engine):
             checked += 1
     assert checked
     assert all(engine.lr_equals_hr_check().values())
+
+
+def _rank(m: QMatrix) -> int:
+    return rref(m)[2]
+
+
+def test_hlc_matches_the_rank_of_the_induced_matrix(engine, random_engines):
+    for coh in [engine, *random_engines]:
+        n = coh.s.n
+        by_rank = tuple(
+            coh.betti[n - k] == coh.betti[n + k]
+            and _rank(coh.l_cohomology_matrix(k, n - k)) == coh.betti[n - k]
+            for k in range(n + 1)
+        )
+        assert coh.hlc().per_degree == by_rank
+
+
+def test_dd_lemma_matches_the_rank_of_the_class_matrix(engine, random_engines):
+    for coh in [engine, *random_engines]:
+        by_rank = tuple(
+            _rank(coh.de_rham[k].class_matrix(space.representative_rows)) == space.dim
+            for k, space in enumerate(coh.d_plus_dlambda)
+        )
+        assert coh.dd_lemma_per_degree() == by_rank
+
+
+def test_d_plus_dlambda_lefschetz_ranks_match_the_induced_matrix(engine, random_engines):
+    for coh in [engine, *random_engines]:
+        n = coh.s.n
+        for k in range(n + 1):
+            low, high = coh.d_plus_dlambda[n - k], coh.d_plus_dlambda[n + k]
+            lifted = low.representative_rows @ coh.s.L_power_block(k, n - k).transpose()
+            rank = _rank(high.class_matrix(lifted))
+            assert high.classes_of(lifted).dim == rank == low.dim == high.dim, k
+        assert coh.d_plus_dlambda_lefschetz_check()
+
+
+def test_every_lr_push_matches_the_induced_matrix(engine, random_engines):
+    checked = 0
+    for coh in [engine, *random_engines]:
+        dim = coh.s.dim
+        for s in range(dim + 1):
+            base = coh.hrs_group(0, s)
+            for r in range(1, (dim - s) // 2 + 1):
+                matrix = coh.l_cohomology_matrix(r, s)
+                by_matrix = Subspace.spanned(base.classes.basis @ matrix.transpose())
+                lifted = base.representative_rows @ coh.s.L_power_block(r, s).transpose()
+                assert coh.de_rham[s + 2 * r].classes_of(lifted) == by_matrix, (r, s)
+                checked += 1
+        assert all(coh.lr_equals_hr_check().values())
+    assert checked
+
+
+@pytest.mark.parametrize("corruption", ["high_degree_zeroed", "l_power_zeroed"])
+def test_a_failed_d_plus_dlambda_lefschetz_names_k_and_both_degrees(
+    engine, monkeypatch, corruption
+):
+    """Unequal dims and a rank drop give the same error."""
+    fresh = SymplecticCohomology(engine.s)
+    n, dim = fresh.s.n, fresh.s.dim
+    spaces = list(fresh.d_plus_dlambda)
+    assert spaces[n - 1].dim
+    if corruption == "high_degree_zeroed":
+        # H^{n+1} replaced by its numerator over itself: dimension 0.
+        high = spaces[n + 1]
+        spaces[n + 1] = cohomology.CohomologySpace(
+            dim, n + 1, high.numerator, high.numerator, high.label
+        )
+        monkeypatch.setattr(fresh, "d_plus_dlambda", tuple(spaces))
+    else:
+        # L^r for r >= 1 replaced by zero blocks: equal dims, rank 0.
+        power = fresh.s.L_power_block
+
+        def zeroed(r, k):
+            return power(r, k) if r == 0 else QMatrix.zeros(comb(dim, k + 2 * r), comb(dim, k))
+
+        monkeypatch.setattr(fresh.s, "L_power_block", zeroed)
+    message = f"L^1 is not an isomorphism from H^{n - 1}_(d+d^Lambda) to H^{n + 1}_(d+d^Lambda)"
+    with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+        fresh.d_plus_dlambda_lefschetz_check()
 
 
 def test_meet_dimension_matches_subspace_intersect(engine):

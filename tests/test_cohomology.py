@@ -165,6 +165,30 @@ class TestOneQuotientType:
         with pytest.raises(InternalInconsistencyError, match=re.escape("H_dR in degree 1")):
             space.class_matrix(QMatrix([outside]))
 
+    def test_classes_of_the_representatives_is_the_whole_cohomology(self, corpus_engines):
+        for engine in corpus_engines.values():
+            for space in engine.de_rham:
+                spanned = space.classes_of(space.representative_rows)
+                assert spanned == Subspace.full(space.dim)
+                assert spanned.dim == engine.betti[space.degree]
+
+    def test_classes_of_exact_rows_is_zero(self, corpus_engines):
+        for engine in corpus_engines.values():
+            for space in engine.de_rham:
+                assert space.classes_of(space.denominator.basis) == Subspace.zero(space.dim)
+
+    def test_classes_of_a_non_closed_row_raises(self, example1):
+        not_all_closed = [s for s in example1.de_rham if s.numerator.dim < s.numerator.ambient_dim]
+        assert len(not_all_closed) >= 3
+        for space in not_all_closed:
+            n = space.numerator.ambient_dim
+            units = [[int(i == j) for i in range(n)] for j in range(n)]
+            outside = next(row for row in units if not space.numerator.contains(row))
+            with pytest.raises(
+                InternalInconsistencyError, match=re.escape(f"H_dR in degree {space.degree}")
+            ):
+                space.classes_of(QMatrix([outside]))
+
     def test_reading_only_the_dimension_builds_no_quotient(self, monkeypatch):
         """`dim` builds no complement; the representatives build exactly one."""
         built = []

@@ -3,13 +3,15 @@
 `perfbench/tracing.py` wraps sympcoh's functions from the outside and
 reads matrices through their dense `rows` view, so a storage change in
 `linalg` could break the per-layer breakdown without failing any
-library test.  This runs it once around a corpus report.
+library test.  This runs it once around a corpus report and once
+around a small verify run, whose per-layer breakdown also times HLC and
+the theorem checks.
 """
 
 import importlib.util
 from pathlib import Path
 
-from sympcoh import corpus_model, run_compute
+from sympcoh import SymplecticCohomology, corpus_model, run_compute, run_verify
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -32,3 +34,19 @@ def test_tracer_wraps_one_corpus_report():
     assert calls["linalg.kernel"] >= 1
     assert calls["linalg.rref"] >= calls["linalg.kernel"]
     assert tracer.max_bits >= 1
+
+
+def test_tracer_wraps_one_verify_run():
+    originals = dict(vars(SymplecticCohomology))
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.run_op(0, lambda: run_verify(
+            seed=0, dims=(4,), count_per_dim=1, include_corpus=False
+        ).format_text())
+    finally:
+        tracer.uninstall()
+    assert dict(vars(SymplecticCohomology)) == originals
+    _, calls = tracer.self_times()
+    for span in ("verify.operator_suite", "cohomology.hlc", "cohomology.checks"):
+        assert calls[span] >= 1, span
