@@ -13,28 +13,29 @@ vectors (the one induced by declaring the coframe orthonormal).
 
 Every cohomology is a `CohomologySpace`: numerator, denominator and a
 label over one `linalg.QuotientSpace`, which checks the inclusion on
-construction and builds its representatives on first use.  Each
-decision asks which classes a block of closed forms spans in a target
-cohomology; `CohomologySpace.classes_of` answers with one `class_matrix`
-product and one elimination.  H^(r,s) is the span of the closed part of
-L^r P^s, and L^r H^(0,s) that of L^r of the H^(0,s) representatives.
-Hard Lefschetz (of H_dR and of H_(d+d^Lambda)) holds at k when L^k of
-the H^(n-k) representatives spans dim H^(n-k) = dim H^(n+k) classes, and
-the dd^Lambda-lemma in degree k when the H_(d+d^Lambda) representatives
-span as many de Rham classes as there are of them.  The H^(r,s) of one
-degree are summed by one elimination of their stacked class bases, and
-the cup pairing is V S W^T for the representative bases V, W and the
-signed permutation S of `exterior.wedge_pairing`.  Kernels and images
-that two cohomologies share are computed once per engine:
-ker [d; d^Lambda; Lambda] for both primitive cohomologies, im d^Lambda
-for the d^Lambda and d d^Lambda cohomologies, and im d from de Rham.
+construction and builds its representatives on first use.  Each decision
+asks which classes a block of closed forms spans in a target cohomology;
+`CohomologySpace.classes_of` answers with one `class_matrix` product and
+one elimination.  H^(r,s) is the span of M ker(d M), a basis of the
+closed part of L^r P^s = im M, and L^r H^(0,s) that of L^r of the
+H^(0,s) representatives.  Hard Lefschetz (of H_dR and of H_(d+d^Lambda))
+holds at k when L^k of the H^(n-k) representatives spans dim H^(n-k) =
+dim H^(n+k) classes, and the dd^Lambda-lemma in degree k when the
+H_(d+d^Lambda) representatives span as many de Rham classes as there are
+of them.  The H^(r,s) of one degree are summed by one elimination of
+their stacked class bases, and the cup pairing is V S W^T for the
+representative bases V, W and the signed permutation S of
+`exterior.wedge_pairing`.  Kernels and images that two cohomologies
+share are computed once per engine: ker [d; d^Lambda; Lambda] for both
+primitive cohomologies, im d^Lambda for the d^Lambda and d d^Lambda
+cohomologies, and im d from de Rham.
 
-Checks backed by theorems (every quotient's inclusion and class
-coordinates, the degree-2 decomposition, the vanishing of
-H^(k,0) meet H^(0,2k), H^(r,s) = L^r H^(0,s) in low total degree, the
-HLC / dd^Lambda-lemma equivalence) run in assert mode: a failure raises
-InternalInconsistencyError, i.e. it is an implementation bug and never a
-mathematical discovery.
+Checks backed by theorems run in assert mode: a failure raises
+InternalInconsistencyError, an implementation bug and never a
+mathematical discovery.  They are every quotient's inclusion and class
+coordinates, H^(r,s) = L^r H^(0,s) in low total degree, the HLC /
+dd^Lambda-lemma equivalence and, on unimodular algebras (where
+[omega]^n != 0), the degree-2 decomposition and H^(k,0) meet H^(0,2k) = 0.
 """
 
 from __future__ import annotations
@@ -76,7 +77,9 @@ __all__ = [
 class CohomologySpace:
     """One degree of a ker/im quotient with harmonic representatives.
 
-    The constructor builds the `QuotientSpace`, which checks that the
+    *ambient_dim* is the algebra's dimension; a coordinate row has length
+    C(ambient_dim, degree), the numerator's `ambient_dim`.  The
+    constructor builds the `QuotientSpace`, which checks that the
     denominator lies in the numerator; its representatives are built on
     first use.  *label* names the cohomology in the errors, which are
     InternalInconsistencyError: every quotient here is backed by a
@@ -313,18 +316,19 @@ class SymplecticCohomology:
         dim = self.s.dim
         if r < 0 or s < 0 or degree > dim or s > dim:
             return HrsGroup(r, s, degree, 0, Subspace.zero(0), QMatrix.zeros(0, 0), dim)
-        if not self.s.primitive_subspace(s).dim or r + s > self.s.n:
+        prim = self.s.primitive_subspace(s)
+        if not prim.dim or r + s > self.s.n:
             # Zero by degree: L^r kills primitive s-forms once r + s > n.
             return HrsGroup(
                 r, s, degree, 0, Subspace.zero(self.betti[degree]),
                 QMatrix.zeros(0, comb(dim, degree)), dim,
             )
         space = self.de_rham[degree]
-        # L^r P^s meet ker d, with L^r P^s the image of M = L^r_s P^T.
-        prim = self.s.primitive_subspace(s)
+        # L^r P^s is the image of M = L^r_s P^T, injective as r + s <= n, so
+        # M ker(d M) is a basis of its closed part.
         lifted = self.s.L_power_block(r, s) @ prim.basis.transpose()
-        closed_part = image_meet_kernel(lifted, self.s.d_block(degree))
-        classes = space.classes_of(closed_part.basis)
+        closed_part = kernel(self.s.d_block(degree) @ lifted).basis @ lifted.transpose()
+        classes = space.classes_of(closed_part)
         rows = classes.basis @ space.representative_rows
         return HrsGroup(r, s, degree, classes.dim, classes, rows, dim)
 
@@ -389,7 +393,7 @@ class SymplecticCohomology:
         exact forms vanish); checked.
         """
         a, b = QMatrix([class_a], len(class_a)), QMatrix([class_b], len(class_b))
-        return (a @ self.cup_matrix(k) @ b.transpose()).rows[0][0]
+        return (a @ self.cup_matrix(k) @ b.transpose()).sparse_rows[0].get(0, Fraction(0))
 
     def cup_matrix(self, k: int) -> QMatrix:
         """Pairing matrix H^k x H^{2n-k} in representative bases: V S W^T."""
@@ -402,7 +406,7 @@ class SymplecticCohomology:
     # -- theorem-backed consistency checks (assert mode) --------------------------
 
     def h2_decomposition_check(self) -> DecompositionVerdict:
-        """H^2 = H^(1,0) + H^(0,2), full and direct: always a theorem."""
+        """H^2 = H^(1,0) + H^(0,2), full and direct: a theorem when unimodular."""
         verdict = self.decomposition(2)
         if not (verdict.full and verdict.direct):
             raise InternalInconsistencyError(
@@ -411,7 +415,7 @@ class SymplecticCohomology:
         return verdict
 
     def intersection_remark_check(self) -> dict[int, bool]:
-        """H^(k,0) meet H^(0,2k) = 0 for k in 1..floor(n/2)."""
+        """H^(k,0) meet H^(0,2k) = 0 for k in 1..floor(n/2), when unimodular."""
         results = {}
         for k in range(1, self.s.n // 2 + 1):
             a = self.hrs_group(k, 0)
@@ -477,7 +481,7 @@ class SymplecticCohomology:
         return True
 
     def full_implies_dual_direct_check(self) -> dict[int, bool]:
-        """If the degree-k sum is full, the degree-(2n-k) sum is direct."""
+        """If the degree-k sum is full, the degree-(2n-k) sum is direct (unimodular)."""
         results = {}
         for k in range(self.s.dim + 1):
             verdict = self.decomposition(k)

@@ -419,11 +419,8 @@ class Bivector:
     @classmethod
     def from_matrix(cls, m: QMatrix) -> Bivector:
         """Bivector with coefficient m[i][j] on e_i ^ e_j (i < j, 1-based)."""
-        coeffs = {
-            (i + 1, j + 1): m.rows[i][j]
-            for i in range(m.nrows)
-            for j in range(i + 1, m.ncols)
-        }
+        rows = enumerate(m.sparse_rows)
+        coeffs = {(i + 1, j + 1): x for i, row in rows for j, x in row.items() if j > i}
         return cls(m.nrows, coeffs)
 
 

@@ -20,8 +20,9 @@ Each operation has one integer kernel.  `combination` sums c * (A @ B)
 and c * A terms row by row over the lcm of the terms' denominators, so a
 block equation such as d L - L d = 0 builds no intermediate matrix; `@`,
 `+` and `-` are its one- and two-term cases.  `rref` is the one
-elimination.  A vector is a one-column block: `QMatrix.apply_sparse`
-multiplies by one through `combination`.
+elimination; there is no determinant, as a square block is invertible
+exactly when its rank is full.  A vector is a one-column block:
+`QMatrix.apply_sparse` multiplies by one through `combination`.
 `Subspace._remainder` is the one reduction against a basis, behind
 `reduce`, `contains`, `contains_subspace` and the membership check of
 `QuotientSpace.class_matrix`, which takes the class coordinates of every
@@ -81,7 +82,6 @@ __all__ = [
     "image",
     "solve",
     "inverse",
-    "det",
     "subspace_sum",
     "subspace_intersect",
     "image_meet_kernel",
@@ -95,7 +95,6 @@ SparseRow = dict[int, Fraction]  # column -> nonzero entry
 IntRow = tuple[dict[int, int], int]  # (column -> nonzero numerator, denominator)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _exact(x) -> Fraction:
@@ -532,39 +531,6 @@ def inverse(m: QMatrix) -> QMatrix:
         [({c - n: x for c, x in nums.items() if c >= n}, den) for nums, den in reduced.int_rows],
         n,
     )
-
-
-def det(m: QMatrix) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
-    if m.nrows != m.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    work = [list(row) for row in m.rows]
-    n = len(work)
-    sign = 1
-    result = _ONE
-    for c in range(n):
-        pivot_row = None
-        for r in range(c, n):
-            if work[r][c]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return _ZERO
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            sign = -sign
-        lead = work[c][c]
-        result *= lead
-        for r in range(c + 1, n):
-            f = work[r][c]
-            if f:
-                f /= lead
-                row = work[r]
-                crow = work[c]
-                for j in range(c, n):
-                    if crow[j]:
-                        row[j] -= f * crow[j]
-    return result if sign > 0 else -result
 
 
 @dataclass(frozen=True)

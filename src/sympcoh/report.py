@@ -292,10 +292,11 @@ def run_compute(model: ModelFile) -> Report:
     coh = SymplecticCohomology(s)
     n = s.n
 
-    # Theorem-backed checks: a failure raises InternalInconsistencyError
-    # and surfaces as exit code 3 in the CLI.
-    coh.h2_decomposition_check()
-    coh.intersection_remark_check()
+    # Theorem-backed checks: a failure raises InternalInconsistencyError (exit code 3
+    # in the CLI).  The first two need [omega]^n != 0, i.e. a unimodular algebra.
+    if properties.unimodular:
+        coh.h2_decomposition_check()
+        coh.intersection_remark_check()
     coh.lr_equals_hr_check()
     coh.hlc_equals_dd_lemma_check()
 

@@ -7,13 +7,15 @@ product with the closed basis; the decomposition sum, L^r H^(0,s) and the
 H^(k,0) meet H^(0,2k) check are eliminations of stacked or multiplied
 blocks; class coordinates of one vector are the one-row case of
 `class_matrix`; HLC, the dd^Lambda-lemma, the Hard Lefschetz of
-H_(d+d^Lambda) and L^r H^(0,s) are all `CohomologySpace.classes_of`.
-Each is checked here against the route it replaced (Form wedges and
+H_(d+d^Lambda) and L^r H^(0,s) are all `CohomologySpace.classes_of`,
+and H^(r,s) is `classes_of` the kernel rows M ker(d M).  Each is
+checked here against the route it replaced (Form wedges and
 substitutions, sums of `Form.from_vector`, the running `subspace_sum`
 fold, per-vector `apply`, the Zassenhaus `subspace_intersect`, the
-`rref` rank of an induced matrix), which stays in this file as the
-oracle.  Every `QMatrix` constructor is checked to give the same
-canonical integer rows and to keep none of its caller's containers.
+`rref` rank of an induced matrix, the RREF basis of im M meet ker d from
+`image_meet_kernel`), which stays in this file as the oracle.  Every
+`QMatrix` constructor is checked to give the same canonical integer
+rows and to keep none of its caller's containers.
 """
 
 import random
@@ -46,6 +48,7 @@ from sympcoh import (
 )
 from sympcoh import cohomology
 from sympcoh.exterior import merge_with_sign, monomial_basis, wedge_pairing
+from sympcoh.linalg import image_meet_kernel
 from sympcoh.parsing import StructureEquations, render_structure
 from sympcoh.verify import (
     BASE_STRUCTURES,
@@ -290,6 +293,25 @@ def test_every_lr_push_matches_the_induced_matrix(engine, random_engines):
     assert checked
 
 
+def test_hrs_classes_of_the_kernel_rows_match_the_meet_basis(engine, random_engines):
+    """M ker(d M) and the RREF basis of im M meet ker d give the same H^(r,s)."""
+    checked = 0
+    for coh in [engine, *random_engines]:
+        n = coh.s.n
+        for s in range(n + 1):
+            prim = coh.s.primitive_subspace(s)
+            if not prim.dim:
+                continue
+            for r in range(n - s + 1):
+                degree = 2 * r + s
+                lifted = coh.s.L_power_block(r, s) @ prim.basis.transpose()
+                meet = image_meet_kernel(lifted, coh.s.d_block(degree))
+                want = coh.de_rham[degree].classes_of(meet.basis)
+                assert coh.hrs_group(r, s).classes == want, (r, s)
+                checked += 1
+    assert checked
+
+
 @pytest.mark.parametrize("corruption", ["high_degree_zeroed", "l_power_zeroed"])
 def test_a_failed_d_plus_dlambda_lefschetz_names_k_and_both_degrees(
     engine, monkeypatch, corruption
@@ -347,14 +369,15 @@ def test_a_nonzero_meet_fails_the_intersection_check(engine, monkeypatch):
 
 def test_groups_zero_by_degree_skip_the_meet(engine, monkeypatch):
     calls = []
-    original = cohomology.image_meet_kernel
+    original = cohomology.kernel
 
-    def counting(m, a):
-        calls.append((m.shape, a.shape))
-        return original(m, a)
+    def counting(m):
+        calls.append(m.shape)
+        return original(m)
 
-    monkeypatch.setattr(cohomology, "image_meet_kernel", counting)
     fresh = SymplecticCohomology(engine.s)
+    fresh.betti  # de Rham is built before the spy: its kernels are not the meet's
+    monkeypatch.setattr(cohomology, "kernel", counting)
     n, dim = fresh.s.n, fresh.s.dim
     zero_by_degree = [
         (r, s)
@@ -369,7 +392,7 @@ def test_groups_zero_by_degree_skip_the_meet(engine, monkeypatch):
         assert group.classes == Subspace.zero(fresh.betti[2 * r + s])
     assert calls == []
     fresh.hrs_group(0, 1)  # a group that is not zero by degree takes the meet
-    assert len(calls) == 1
+    assert calls == [(fresh.s.d_block(1).nrows, fresh.s.primitive_subspace(1).dim)]
 
 
 # -- class coordinates of one vector ---------------------------------------------------

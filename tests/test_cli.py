@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -102,6 +103,31 @@ def test_corrupted_d_lambda_block_exits_3_naming_the_cohomology(monkeypatch, cap
     assert main(["compute", "example1"]) == EXIT_INCONSISTENT
     err = capsys.readouterr().err
     assert err.startswith("internal inconsistency: H_(d+dLambda) in degree 3:")
+
+
+def test_non_unimodular_report_exits_0_with_a_non_direct_h2(tmp_path, capsys):
+    """aff(R) + R^2: [omega] = [e34] = -[e12 - e34], and e12 - e34 is closed and primitive."""
+    path = tmp_path / "affr_r2.model"
+    path.write_text("structure = 0,12,0,0\nomega = 12+34\n")
+    assert main(["compute", str(path), "--json"]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    assert data["properties"]["unimodular"] is False
+    (degree2,) = [entry for entry in data["decompositions"] if entry["degree"] == 2]
+    assert degree2["direct"] is False and degree2["full"] is True
+
+
+def test_corrupted_h2_decomposition_on_a_unimodular_structure_exits_3(monkeypatch, capsys):
+    from sympcoh import SymplecticCohomology
+
+    original = SymplecticCohomology.decomposition
+
+    def corrupted(self, degree):
+        verdict = original(self, degree)
+        return replace(verdict, direct=False) if degree == 2 else verdict
+
+    monkeypatch.setattr(SymplecticCohomology, "decomposition", corrupted)
+    assert main(["compute", "example1"]) == EXIT_INCONSISTENT
+    assert capsys.readouterr().err.startswith("internal inconsistency: H^2 decomposition failed")
 
 
 def test_verify_small_run(capsys):

@@ -142,6 +142,20 @@ class TestPrimitiveCohomologies:
             assert example1.primitive_ph_d(sdeg) >= 0
 
 
+def _non_closed_unit_rows(engine):
+    """(space, unit row outside its closed forms) for each degree whose forms are not all closed.
+
+    A coordinate row has length C(dim, k), the numerator's `ambient_dim`;
+    the space's own `ambient_dim` is the algebra's dimension.
+    """
+    spaces = [s for s in engine.de_rham if s.numerator.dim < s.numerator.ambient_dim]
+    assert len(spaces) >= 3
+    for space in spaces:
+        n = space.numerator.ambient_dim
+        units = ([int(i == j) for i in range(n)] for j in range(n))
+        yield space, QMatrix([next(row for row in units if not space.numerator.contains(row))])
+
+
 class TestOneQuotientType:
     """Every cohomology is a CohomologySpace: one inclusion check, one error type."""
 
@@ -158,12 +172,11 @@ class TestOneQuotientType:
             SymplecticCohomology(s).primitive_ph_plus(4)
 
     def test_class_matrix_of_a_non_closed_row_raises(self, example1):
-        space = example1.de_rham[1]
-        n = space.ambient_dim
-        units = [[int(i == j) for i in range(n)] for j in range(n)]
-        outside = next(row for row in units if not space.numerator.contains(row))
-        with pytest.raises(InternalInconsistencyError, match=re.escape("H_dR in degree 1")):
-            space.class_matrix(QMatrix([outside]))
+        for space, outside in _non_closed_unit_rows(example1):
+            with pytest.raises(
+                InternalInconsistencyError, match=re.escape(f"H_dR in degree {space.degree}")
+            ):
+                space.class_matrix(outside)
 
     def test_classes_of_the_representatives_is_the_whole_cohomology(self, corpus_engines):
         for engine in corpus_engines.values():
@@ -178,16 +191,11 @@ class TestOneQuotientType:
                 assert space.classes_of(space.denominator.basis) == Subspace.zero(space.dim)
 
     def test_classes_of_a_non_closed_row_raises(self, example1):
-        not_all_closed = [s for s in example1.de_rham if s.numerator.dim < s.numerator.ambient_dim]
-        assert len(not_all_closed) >= 3
-        for space in not_all_closed:
-            n = space.numerator.ambient_dim
-            units = [[int(i == j) for i in range(n)] for j in range(n)]
-            outside = next(row for row in units if not space.numerator.contains(row))
+        for space, outside in _non_closed_unit_rows(example1):
             with pytest.raises(
                 InternalInconsistencyError, match=re.escape(f"H_dR in degree {space.degree}")
             ):
-                space.classes_of(QMatrix([outside]))
+                space.classes_of(outside)
 
     def test_reading_only_the_dimension_builds_no_quotient(self, monkeypatch):
         """`dim` builds no complement; the representatives build exactly one."""

@@ -19,7 +19,7 @@ from sympcoh import (
     subspace_sum,
 )
 from sympcoh import linalg
-from sympcoh.linalg import as_vector, det
+from sympcoh.linalg import as_vector
 
 
 def F(x):
@@ -290,11 +290,6 @@ class TestSolveInverse:
     def test_inverse_singular(self):
         with pytest.raises(ValueError):
             inverse(QMatrix([[1, 2], [2, 4]]))
-
-    def test_det(self):
-        assert det(QMatrix([[2, 1], [1, 1]])) == 1
-        assert det(QMatrix([[1, 2], [2, 4]])) == 0
-        assert det(QMatrix([[0, 1], [-1, 0]])) == 1
 
     def test_exact_fractions_stay_reduced(self):
         m = QMatrix([[F("1/3"), F("1/6")], [F("1/2"), F("1/4")]])

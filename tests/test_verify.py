@@ -19,7 +19,9 @@ from sympcoh import (
 )
 from sympcoh.exterior import GradedOperator, nonzero_columns
 from sympcoh.linalg import QMatrix
-from sympcoh.verify import _Recorder, operator_identity_suite, random_symplectic_structure
+from sympcoh.verify import (
+    _Recorder, operator_identity_suite, random_symplectic_structure, verify_structure,
+)
 
 TABLE = (
     "commute_d_L",
@@ -88,6 +90,21 @@ def _suite(s, label="mutant"):
     check = _Recorder()
     operator_identity_suite(s, check, random.Random(0), label=label)
     return check.results
+
+
+@pytest.mark.parametrize("text", ["0,12,0,0", "0,12,0,34"])
+def test_non_unimodular_structures_record_no_failure(text):
+    """aff(R) + R^2 and aff(R)^2: the checks that need [omega]^n != 0 are skipped."""
+    g = build_lie_algebra(parse_structure_equations(text))
+    s = validate_symplectic(g, parse_form("12+34", g.dim, degree=2))
+    coh = SymplecticCohomology(s)
+    assert not coh.properties.unimodular
+    check = _Recorder()
+    verify_structure(s, check, random.Random(0), label=text)
+    assert {name: r.failures for name, r in check.results.items() if r.failed} == {}
+    assert check.results["theorem_lr_equals_hr"].passed == 1
+    assert check.results["equiv_hlc_iff_dd_lemma"].passed == 1
+    assert "theorem_h2_full_direct" not in check.results
 
 
 def test_seed0_dim6_counts_pinned():
