@@ -37,8 +37,9 @@ two checkouts can be compared in alternating runs.  The verify runs
 first, so its peak is its own; a later line shows a larger peak only
 when that report, or what it left cached, needed more.  Exits 1 when
 any check fails.  pytest does not collect this file.  On a 2-core x86-64 VM, the dim-10 verify takes
-2.3-2.7 s and 32 MB; nil14, the largest nice-basis report, 5.4-6.6 s
-and 94 MB; and generic nil10 17-22 s.
+1.3-1.6 s and 32 MB; nil14, the largest nice-basis report, 3.2-4.3 s
+and 89 MB; and generic nil10 12-17 s (eight runs each, alternating with
+runs of the previous commit; this VM's speed drifts between runs).
 """
 
 from __future__ import annotations

@@ -13,9 +13,18 @@ BENCHMARK.json's end-to-end names; without one, a single pair will do.
 Pair i uses seed first_seed + i on both sides; the parent runs first in
 even pairs and the change first in odd pairs.  For every
 end-to-end metric of BENCHMARK.json the file records each side's
-quartiles (inclusive method) and raw runs, and in how many pairs the
-change was better (ties count for neither side); per workload it
-records attempted and failed ops.
+quartiles (inclusive method) and raw runs, in how many pairs the
+change was better (ties count for neither side) and a verdict; per
+workload it records attempted and failed ops.
+
+The claimed metric's verdict is "claim met" when the change won at
+least 9 in 10 pairs and its median beats the parent's by more than the
+parent's interquartile range, else "claim not met".  Every other metric
+reads "within bound" when every change run beats every parent run, or
+else when the change's median is worse than the parent's by at most
+the metric's bound (a fraction of the parent's median); "unresolved"
+when the parent's interquartile range exceeds that bound; and "worse
+than bound" otherwise.
 """
 
 from __future__ import annotations
@@ -44,15 +53,40 @@ def commit_of(checkout: Path) -> str:
     return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
-def quartiles(values: list[float]) -> dict:
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) == 1:  # statistics.quantiles needs two points
         values = values * 2
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = _quartiles(values)
     return {"q1": round(q1, 5), "median": round(median, 5), "q3": round(q3, 5)}
 
 
-def summarize(spec: dict, runs: dict[str, list[dict]]) -> dict:
-    """Per-metric quartiles, raw runs and change wins, plus op counts."""
+def verdict(metric: dict, parent: list[float], change: list[float], claimed: bool) -> str:
+    """The verdict on one metric of one workload; see the module docstring."""
+    sign = 1 if metric["better"] == "lower" else -1
+    p1, pmed, p3 = _quartiles(parent)
+    gain = sign * (pmed - _quartiles(change)[1])  # > 0 when the change's median is better
+    if claimed:
+        wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+        met = 10 * wins >= 9 * len(change) and gain > p3 - p1
+        return "claim met" if met else "claim not met"
+    if all(sign * (p - c) > 0 for p in parent for c in change):
+        return "within bound"
+    bound = metric["bound"] * abs(pmed)
+    if p3 - p1 > bound:
+        return "unresolved"
+    return "within bound" if -gain <= bound else "worse than bound"
+
+
+def summarize(spec: dict, runs: dict[str, list[dict]], claimed: str | None = None) -> dict:
+    """Per-metric quartiles, raw runs, change wins and verdict, plus op counts.
+
+    *claimed* names the metric claimed on this workload, if any.
+    """
     out = {}
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -62,6 +96,7 @@ def summarize(spec: dict, runs: dict[str, list[dict]]) -> dict:
             for p, c in zip(values["parent"], values["change"])
         )
         out[name] = {
+            "verdict": verdict(metric, values["parent"], values["change"], name == claimed),
             "better": metric["better"],
             "parent": quartiles(values["parent"]),
             "change": quartiles(values["change"]),
@@ -116,7 +151,11 @@ def main() -> int:
                 op = result["metrics"]["op_p50_s"]["value"]
                 print(f"{workload} pair {i} seed {seed} {side}: op_p50_s {op:.5f} "
                       f"failed {result['failed']}/{result['attempted']}", flush=True)
-        workloads[workload] = summarize(spec, runs)
+        claimed = args.claim[1] if args.claim and args.claim[0] == workload else None
+        workloads[workload] = summarize(spec, runs, claimed)
+        for name, entry in workloads[workload].items():
+            if "verdict" in entry:
+                print(f"{workload} {name}: {entry['verdict']}", flush=True)
 
     first, last = args.first_seed, args.first_seed + args.pairs - 1
     report = {

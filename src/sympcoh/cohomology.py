@@ -15,7 +15,7 @@ Every cohomology is a `CohomologySpace`: numerator, denominator and a
 label over one `linalg.QuotientSpace`, which checks the inclusion on
 construction and builds its representatives on first use.  Each decision
 asks which classes a block of closed forms spans in a target cohomology;
-`CohomologySpace.classes_of` answers with one `class_matrix` product and
+`CohomologySpace.classes_of` answers with one `class_rows` product and
 one elimination.  H^(r,s) is the span of M ker(d M), a basis of the
 closed part of L^r P^s = im M, and L^r H^(0,s) that of L^r of the
 H^(0,s) representatives.  Hard Lefschetz (of H_dR and of H_(d+d^Lambda))
@@ -35,7 +35,8 @@ InternalInconsistencyError, an implementation bug and never a
 mathematical discovery.  They are every quotient's inclusion and class
 coordinates, H^(r,s) = L^r H^(0,s) in low total degree, the HLC /
 dd^Lambda-lemma equivalence and, on unimodular algebras (where
-[omega]^n != 0), the degree-2 decomposition and H^(k,0) meet H^(0,2k) = 0.
+[omega]^n != 0), the degree-2 decomposition, H^(k,0) meet H^(0,2k) = 0
+and full-implies-dual-direct; elsewhere these raise NotUnimodular.
 """
 
 from __future__ import annotations
@@ -118,14 +119,17 @@ class CohomologySpace:
 
     def class_matrix(self, rows: QMatrix) -> QMatrix:
         """Class coordinates of every row of *rows*, one column per row."""
+        return self._class_rows(rows).transpose()
+
+    def _class_rows(self, rows: QMatrix) -> QMatrix:
         try:
-            return self.quotient.class_matrix(rows)
+            return self.quotient.class_rows(rows)
         except NotInSubspace as exc:
             raise self._error(str(exc)) from None
 
     def classes_of(self, rows: QMatrix) -> Subspace:
         """Span of the classes of the closed rows *rows*, in class coordinates."""
-        return Subspace.spanned(self.class_matrix(rows).transpose())
+        return Subspace.spanned(self._class_rows(rows))
 
     def class_of(self, form: Form | Sequence) -> Vector:
         """Coordinates of a cocycle's class w.r.t. the representatives."""
@@ -326,8 +330,8 @@ class SymplecticCohomology:
         space = self.de_rham[degree]
         # L^r P^s is the image of M = L^r_s P^T, injective as r + s <= n, so
         # M ker(d M) is a basis of its closed part.
-        lifted = self.s.L_power_block(r, s) @ prim.basis.transpose()
-        closed_part = kernel(self.s.d_block(degree) @ lifted).basis @ lifted.transpose()
+        lifted = self.s.lift(prim.basis, r, s)  # the rows of M^T
+        closed_part = kernel(self.s.d_block(degree) @ lifted.transpose()).basis @ lifted
         classes = space.classes_of(closed_part)
         rows = classes.basis @ space.representative_rows
         return HrsGroup(r, s, degree, classes.dim, classes, rows, dim)
@@ -354,8 +358,7 @@ class SymplecticCohomology:
         The `class_matrix` of L^power of the representatives, well-defined
         because [d, L] = 0.  The decisions take `classes_of` instead.
         """
-        lift = self.s.L_power_block(power, from_degree)
-        lifted = self.de_rham[from_degree].representative_rows @ lift.transpose()
+        lifted = self.s.lift(self.de_rham[from_degree].representative_rows, power, from_degree)
         return self.de_rham[from_degree + 2 * power].class_matrix(lifted)
 
     def _lefschetz_iso(self, spaces: Sequence[CohomologySpace], k: int) -> bool:
@@ -364,8 +367,7 @@ class SymplecticCohomology:
         low, high = spaces[n - k], spaces[n + k]
         if low.dim != high.dim:
             return False
-        lifted = low.representative_rows @ self.s.L_power_block(k, n - k).transpose()
-        return high.classes_of(lifted).dim == low.dim
+        return high.classes_of(self.s.lift(low.representative_rows, k, n - k)).dim == low.dim
 
     @_memo
     def hlc(self) -> HlcResult:
@@ -397,25 +399,28 @@ class SymplecticCohomology:
 
     def cup_matrix(self, k: int) -> QMatrix:
         """Pairing matrix H^k x H^{2n-k} in representative bases: V S W^T."""
-        if not self.properties.unimodular:
-            raise NotUnimodular("cup pairing on classes needs a unimodular algebra")
+        self._require_unimodular("cup pairing on classes")
         low = self.de_rham[k].representative_rows
         high = self.de_rham[self.s.dim - k].representative_rows
         return low @ wedge_pairing(self.s.dim, k) @ high.transpose()
+
+    def _require_unimodular(self, what: str) -> None:
+        if not self.betti[-1]:  # H^top(g) = 0 exactly when tr ad != 0
+            raise NotUnimodular(f"{what} needs a unimodular algebra")
 
     # -- theorem-backed consistency checks (assert mode) --------------------------
 
     def h2_decomposition_check(self) -> DecompositionVerdict:
         """H^2 = H^(1,0) + H^(0,2), full and direct: a theorem when unimodular."""
+        self._require_unimodular("the H^2 decomposition")
         verdict = self.decomposition(2)
         if not (verdict.full and verdict.direct):
-            raise InternalInconsistencyError(
-                f"H^2 decomposition failed: {verdict}"
-            )
+            raise InternalInconsistencyError(f"H^2 decomposition failed: {verdict}")
         return verdict
 
     def intersection_remark_check(self) -> dict[int, bool]:
         """H^(k,0) meet H^(0,2k) = 0 for k in 1..floor(n/2), when unimodular."""
+        self._require_unimodular("the intersection remark")
         results = {}
         for k in range(1, self.s.n // 2 + 1):
             a = self.hrs_group(k, 0)
@@ -438,8 +443,7 @@ class SymplecticCohomology:
                 if r == 0:
                     results[(0, s)] = True
                     continue
-                lift = self.s.L_power_block(r, s)
-                lifted = self.hrs_group(0, s).representative_rows @ lift.transpose()
+                lifted = self.s.lift(self.hrs_group(0, s).representative_rows, r, s)
                 pushed = self.de_rham[2 * r + s].classes_of(lifted)
                 if pushed != self.hrs_group(r, s).classes:
                     raise InternalInconsistencyError(
@@ -482,6 +486,7 @@ class SymplecticCohomology:
 
     def full_implies_dual_direct_check(self) -> dict[int, bool]:
         """If the degree-k sum is full, the degree-(2n-k) sum is direct (unimodular)."""
+        self._require_unimodular("full-implies-dual-direct")
         results = {}
         for k in range(self.s.dim + 1):
             verdict = self.decomposition(k)

@@ -18,16 +18,16 @@ and vector results are built from integer rows.
 
 Each operation has one integer kernel.  `combination` sums c * (A @ B)
 and c * A terms row by row over the lcm of the terms' denominators, so a
-block equation such as d L - L d = 0 builds no intermediate matrix; `@`,
-`+` and `-` are its one- and two-term cases.  `rref` is the one
-elimination; there is no determinant, as a square block is invertible
-exactly when its rank is full.  A vector is a one-column block:
-`QMatrix.apply_sparse` multiplies by one through `combination`.
-`Subspace._remainder` is the one reduction against a basis, behind
-`reduce`, `contains`, `contains_subspace` and the membership check of
-`QuotientSpace.class_matrix`, which takes the class coordinates of every
-row of a block as one product with the solver; `coordinates` is its
-one-row case.
+block equation such as d L - L d = 0 builds no intermediate matrix; `+`
+and `-` are its two-term cases.  `@` has its own loop, picked by the term
+count: one product needs no per-row lcm, and a corpus op makes about 128
+of them against 20 sums.  `rref` is the one elimination; a square block
+is invertible exactly when its rank is full.  A vector is a one-column
+block, which `QMatrix.apply_sparse` multiplies by.  `Subspace._remainder`
+is the one reduction against a basis, behind `reduce`, `contains`,
+`contains_subspace` and the membership check of `QuotientSpace.class_rows`,
+which takes the class coordinates of every row of a block as one product
+with the cached solver S^T; `class_matrix` is its transpose.
 
 Subspaces are stored by their unique RREF basis, so subspace equality
 is literal equality of matrices.  Each subspace comes out of one
@@ -45,7 +45,9 @@ corpus and one verify6 cycle showed it paying, in ms per op: `kernel`
 and `image` of a zero block (0.09-0.15 vs 0.32-0.57, 0.02-0.04 vs
 0.07-0.14), `QuotientSpace.complement` with w = 0 (0.01 vs 0.19-0.29),
 `transpose` of integer rows without `from_ints` (0.40-0.86 vs 0.61-1.30)
-and `from_ints` on an empty row (7% on verify6); `Subspace._remainder`
+and `from_ints` on an empty row (7% on verify6).  `@` skips a row with no
+terms, and `rref` takes a one-entry row that meets no pivot as a unit row:
+13% and 15% of their time on one corpus cycle's inputs.  `Subspace._remainder`
 walks the shorter of the vector and the pivots, as one order slowed the
 nil12 and generic nil10 reports.  `rref` has no full-rank exit: on the
 inputs of a nil10 report, a nil12 report and the seed-0 dim-10 verify it
@@ -203,8 +205,8 @@ class QMatrix:
         return cls._wrap(out, ncols)
 
     @classmethod
-    def identity(cls, n: int) -> QMatrix:
-        return cls._wrap([({i: 1}, 1) for i in range(n)], n)
+    def identity(cls, n: int, weight: int = 1) -> QMatrix:
+        return cls._wrap([({i: weight}, 1) if weight else ({}, 1) for i in range(n)], n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> QMatrix:
@@ -280,12 +282,32 @@ class QMatrix:
     # -- arithmetic ----------------------------------------------------
 
     def __matmul__(self, other: QMatrix) -> QMatrix:
-        return combination([(1, self, other)])
+        """A @ B; B's rows are read in place, and an A entry is rescaled only when needed."""
+        if self.ncols != other.nrows:
+            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        brows, bden = other.int_rows, lcm(*[d for _, d in other.int_rows])
+        out: list[IntRow] = []
+        for anums, aden in self.int_rows:
+            acc: dict[int, int] = {}
+            for k, x in anums.items():
+                bnums, d = brows[k]
+                if d != bden:
+                    x *= bden // d
+                for c, y in bnums.items():
+                    acc[c] = acc.get(c, 0) + x * y
+            if not acc:
+                out.append(({}, 1))
+                continue
+            den = aden * bden
+            g = gcd(den, *acc.values()) if den != 1 else 1
+            row = {c: v // g for c, v in acc.items() if v}
+            out.append((row, den // g) if row else ({}, 1))
+        return QMatrix._wrap(out, other.ncols)
 
     def apply_sparse(self, vec: Mapping[int, Fraction]) -> SparseRow:
         """Matrix times a column vector given by its nonzero entries, as {row: Fraction}.
 
-        The one-column case of `combination`: *vec* becomes a one-column block.
+        The one-column case of `@`: *vec* becomes a one-column block.
         """
         column = QMatrix.from_sparse([vec], self.ncols).transpose()
         out = (self @ column).int_rows
@@ -326,7 +348,7 @@ class QMatrix:
         return f"QMatrix({[list(map(str, row)) for row in self.rows]})"
 
 
-def combination(terms: Iterable[tuple]) -> QMatrix:
+def combination(terms: Sequence[tuple]) -> QMatrix:
     """The sum of c * (A @ B) over terms (c, A, B), or of c * A over terms (c, A).
 
     One integer product over whole blocks: each output row is
@@ -334,8 +356,10 @@ def combination(terms: Iterable[tuple]) -> QMatrix:
     and brought to lowest terms once, so no intermediate product or
     difference is built.  Every term must give the same shape, and
     A.ncols must equal B.nrows; a mismatch raises ValueError, as `@` and
-    `+` do.
+    `+` do.  A lone product with coefficient 1 takes the loop of `@`.
     """
+    if len(terms) == 1 and len(terms[0]) == 3 and terms[0][0] == 1:
+        return terms[0][1] @ terms[0][2]
     prepared = []
     shape = None
     for term in terms:
@@ -412,25 +436,37 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     entry b there, row <- (a/g) row - (b/g) prow for g = gcd(a, b).  If
     anything is left, its first column is a new pivot, which is then
     cleared from the earlier rows the same way.  Each output row is the
-    primitive row over its pivot entry.
-
-    One path: every input is eliminated.  `kernel`, the quotient
-    complements and `subspace_intersect` read their RREF bases off their
-    own elimination, so none passes a reduced basis back in.
+    primitive row over its pivot entry.  Every input is eliminated.
     """
     found: dict[int, dict[int, int]] = {}
     for source, _ in m.int_rows:
         if not source:
             continue
-        row = dict(source)
-        # Known pivot rows vanish on each other's pivots, so clearing one
-        # pivot only rescales the row's entries at the others.
-        for p in [c for c in source if c in found]:
-            row = _eliminate(row, p, found[p])
-        if not row:
-            continue
-        row = _primitive(row)
-        pc = min(row)
+        hits = [c for c in source if c in found] if found else ()
+        if not hits and len(source) == 1:
+            (pc,) = source
+            row = {pc: 1}
+        else:
+            row = dict(source)
+            for p in hits:
+                prow = found[p]
+                a, b = prow[p], row[p]
+                if b % a:
+                    g = gcd(a, b)
+                    a, b = a // g, b // g
+                    row = {c: a * x for c, x in row.items()}
+                else:
+                    b //= a
+                for c, x in prow.items():
+                    v = row.get(c, 0) - b * x
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
+            if not row:
+                continue
+            row = _primitive(row)
+            pc = min(row)
         for q, prow in found.items():
             if pc in prow:
                 found[q] = _primitive(_eliminate(prow, pc, row))
@@ -681,15 +717,15 @@ class QuotientSpace:
     intersected with the orthogonal complement of w under the standard
     dot product on coefficient vectors; `coordinates` writes any x in v
     as (representative part, w part) and returns the representative
-    coordinates, which vanish exactly when x lies in w.  `class_matrix`
+    coordinates, which vanish exactly when x lies in w.  `class_rows`
     does the same for every row of a block at once.
 
     Every row of the complement C is orthogonal to every row of the
     basis W of w, so the Gram matrix of [C; W] is block diagonal, and
     the rows of its inverse that write x = C^T a + W^T b as a are those
-    of (C C^T)^{-1}: the solver is (C C^T)^{-1} C, and only the c x c
-    Gram block is inverted, on the first class coordinates asked for.
-    The zero quotient uses the same solver, over a 0 x 0 Gram block.
+    of (C C^T)^{-1}: a = x S^T for S^T = C^T (C C^T)^{-1}, cached with
+    the c x c Gram block inverted once, on the first class coordinates
+    asked for.  The zero quotient uses the same S^T, over a 0 x 0 Gram block.
     """
 
     total: Subspace
@@ -727,32 +763,29 @@ class QuotientSpace:
 
     @cached_property
     def _solver(self) -> QMatrix:
-        """x in v -> its representative coordinates, a (dim) x (ambient) block."""
-        c = self.complement.basis
-        return inverse(c @ c.transpose()) @ c
+        ct = self.complement.basis.transpose()
+        return ct @ inverse(self.complement.basis @ ct)
 
     def coordinates(self, x: Sequence) -> Vector:
-        return self.class_matrix(QMatrix([x])).column(0)
+        return self.class_rows(QMatrix([x])).rows[0]
 
     def sparse_coordinates(self, vec: Mapping[int, Fraction]) -> Vector:
         """`coordinates` of a vector given by its nonzero entries."""
-        return self.class_matrix(QMatrix.from_sparse([vec], self.total.ambient_dim)).column(0)
+        return self.class_rows(QMatrix.from_sparse([vec], self.total.ambient_dim)).rows[0]
 
-    def class_matrix(self, vectors: QMatrix) -> QMatrix:
-        """Coordinates of every row of *vectors*, as the columns of one product.
-
-        Column j holds the class coordinates of row j: the matrix is
-        solver @ vectors^T.  Each row is first checked to lie in the
-        total space, on its integer form; a row outside it raises
-        NotInSubspace.
-        """
+    def class_rows(self, vectors: QMatrix) -> QMatrix:
+        """vectors @ S^T, after checking each row's integer form is in v (NotInSubspace)."""
         if vectors.ncols != self.total.ambient_dim:
             raise AmbientMismatch(
                 f"vectors of length {vectors.ncols} != ambient {self.total.ambient_dim}"
             )
         if not all(self.total._reduces_to_zero(nums) for nums, _ in vectors.int_rows):
             raise NotInSubspace("vector is not in the total space of the quotient")
-        return self._solver @ vectors.transpose()
+        return vectors @ self._solver
+
+    def class_matrix(self, vectors: QMatrix) -> QMatrix:
+        """`class_rows` as columns: column j holds the class coordinates of row j."""
+        return self.class_rows(vectors).transpose()
 
 
 def quotient_structure(w: Subspace, v: Subspace) -> QuotientSpace:

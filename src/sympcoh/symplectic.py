@@ -177,7 +177,7 @@ class SymplecticStructure:
 
         self.Lambda_op = _contraction_operator(self.pairing)
         degrees = range(self.dim + 1)
-        weights = {k: QMatrix.identity(comb(self.dim, k)).scaled(self.n - k) for k in degrees}
+        weights = {k: QMatrix.identity(comb(self.dim, k), self.n - k) for k in degrees}
         self.H_op = GradedOperator(self.dim, 0, weights)
         d, lam = self.d_block, self.lambda_block
         commutators = {
@@ -253,9 +253,13 @@ class SymplecticStructure:
     @_memo
     def L_power_block(self, r: int, k: int) -> QMatrix:
         """L^r from degree k to degree k + 2r."""
-        if r == 0:
-            return QMatrix.identity(comb(self.dim, k))
+        if r <= 1:
+            return self.L_block(k) if r else QMatrix.identity(comb(self.dim, k))
         return self.L_block(k + 2 * r - 2) @ self.L_power_block(r - 1, k)
+
+    def lift(self, rows: QMatrix, r: int, k: int) -> QMatrix:
+        """L^r of every degree-k row of *rows*, as rows: *rows* itself when r = 0."""
+        return rows @ self.L_power_block(r, k).transpose() if r else rows
 
     # -- construction-time validation ----------------------------------------
 
@@ -437,9 +441,7 @@ class SymplecticStructure:
         n = self.n
         prims = {r: self.primitive_subspace(k - 2 * r) for r in _r_range(k, n)}
         # One row per primitive basis vector B: L^r B, block by block in r.
-        lifted = [
-            prim.basis @ self.L_power_block(r, k - 2 * r).transpose() for r, prim in prims.items()
-        ]
+        lifted = [self.lift(prim.basis, r, k - 2 * r) for r, prim in prims.items()]
         solution = solve(QMatrix.stacked(lifted).transpose(), form.coeff_vector())
         if solution is None:
             raise InternalInconsistencyError(

@@ -2,11 +2,13 @@
 
 `combination` sums c * (A @ B) and c * A terms in one pass; it is
 checked against dense Fraction arithmetic and against `@`, `+`, `-`
-and `scaled` applied one at a time (`@`, `+` and `-` are its one- and
-two-term cases, so the multi-term sums are what that second oracle
-checks).  `QuotientSpace.class_matrix` is checked against per-vector
-`sparse_coordinates` on every quotient the cohomology engine builds,
-and the c x c Gram solver of `quotient_structure` against the
+and `scaled` applied one at a time.  `+` and `-` are its two-term
+cases, while `@` has its own one-product loop, picked by the term
+count, so the `composed` oracle compares two loops: `combination`'s
+multi-term sum against the products of `@`.  `QuotientSpace.class_matrix`
+is checked against per-vector `sparse_coordinates` on every quotient the
+cohomology engine builds, and the c x c Gram solver of
+`quotient_structure` (cached as its transpose S^T) against the
 (c + w) x (c + w) Gram split it replaces, which stays here as the
 oracle.
 """
@@ -214,4 +216,4 @@ def test_small_gram_solver_matches_the_full_split(engine):
             again = quotient_structure(sub, q.total)
             complement = image_meet_kernel(q.total.basis.transpose(), sub.basis)
             assert again.complement == complement, where
-            assert again._solver == _gram_split_solver(complement, sub), where
+            assert again._solver == _gram_split_solver(complement, sub).transpose(), where

@@ -498,3 +498,33 @@ def test_every_exported_name_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_top_betti_number_is_one_exactly_on_unimodular_algebras():
+    """The gate of the unimodular checks: b_top = 1 iff tr ad = 0, as `check_properties` finds."""
+    from sympcoh.lie import check_properties
+    from sympcoh.verify import BASE_STRUCTURES
+
+    algebras = [structure_from_model(corpus_model(name)).g for name in corpus_names()]
+    texts = ["0,12,0,0", "0,12,0,34"]  # aff(R) + R^2 and aff(R)^2
+    rng = random.Random(0)
+    for dim in (4, 6):
+        texts += BASE_STRUCTURES[dim]
+        algebras += [random_symplectic_structure(dim, rng).g for _ in range(4)]
+    algebras += [build_lie_algebra(parse_structure_equations(text)) for text in texts]
+    verdicts = set()
+    for g in algebras:
+        unimodular = check_properties(g).unimodular
+        assert (de_rham_cohomology(g)[-1].dim == 1) == unimodular
+        verdicts.add(unimodular)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "check", ["h2_decomposition_check", "intersection_remark_check", "full_implies_dual_direct_check"]
+)
+def test_unimodular_checks_raise_not_unimodular_on_aff_r_plus_r2(check):
+    g = build_lie_algebra(parse_structure_equations("0,12,0,0"))
+    engine = SymplecticCohomology(validate_symplectic(g, parse_form("12+34", 4, degree=2)))
+    with pytest.raises(NotUnimodular, match="needs a unimodular algebra"):
+        getattr(engine, check)()

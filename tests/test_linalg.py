@@ -208,7 +208,7 @@ class TestQuotient:
     def test_zero_quotient_uses_the_general_solver(self):
         v = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
         for q in (quotient_structure(v, v), quotient_structure(Subspace.zero(3), Subspace.zero(3))):
-            assert q._solver == QMatrix.zeros(0, 3)
+            assert q._solver == QMatrix.zeros(3, 0)
             assert q.class_matrix(q.total.basis) == QMatrix.zeros(0, q.total.dim)
             assert q.class_matrix(QMatrix.zeros(4, 3)) == QMatrix.zeros(0, 4)
 
