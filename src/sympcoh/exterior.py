@@ -352,12 +352,13 @@ def top_coefficient(a: Form) -> Fraction:
     return a.coeffs.get(tuple(range(1, a.dim + 1)), _ZERO)
 
 
+@lru_cache(maxsize=None)
 def wedge_pairing(dim: int, k: int) -> QMatrix:
     """The wedge pairing of degrees k and dim - k in the lex bases.
 
     Entry (a, b) is top_coefficient(e^a ^ e^b): the sign of the merge
     when b is the complement of a, and zero otherwise, so the matrix is
-    a signed permutation.
+    a signed permutation.  Cached and shared, so read only.
     """
     everything = range(1, dim + 1)
     rows = []

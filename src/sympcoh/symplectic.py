@@ -315,14 +315,20 @@ class SymplecticStructure:
         with the bare top power).  The wedge pairing of complementary
         monomials is a signed permutation S_k (`wedge_pairing`), so block
         k is c S_k^T G_k for the Gram matrix G_k and the Liouville volume
-        coefficient c.
+        coefficient c: when row i of S_k is sign e_j, row j of the block
+        is c sign G_k[i], moved and scaled with no product.
         """
         c, m, walk = self.volume_coeff / factorial(self.n), self.dim, self._gram_blocks()
-        # next(walk), not a loop variable, so each Gram block is freed before the next is built.
-        blocks = {
-            k: combination([(c, wedge_pairing(m, k).transpose(), next(walk))])
-            for k in range(m + 1)
-        }
+        p, q = c.numerator, c.denominator
+        blocks = {}
+        for k in range(m + 1):
+            # next(walk), not a loop variable, so each Gram block is freed before the next is built.
+            gram, rows = next(walk), [({}, 1)] * comb(m, k)
+            for (perm, _), (nums, den) in zip(wedge_pairing(m, k).int_rows, gram.int_rows):
+                ((j, sign),) = perm.items()
+                f = sign * p
+                rows[j] = ({col: f * x for col, x in nums.items()}, q * den)
+            blocks[k] = QMatrix.from_ints(rows, gram.ncols)
         op = GradedOperator(self.dim, None, blocks)
         self._validate_star(op)
         return op
@@ -333,23 +339,31 @@ class SymplecticStructure:
     def _validate_star(self, op: GradedOperator) -> None:
         """Involution, intertwining with the sl(2) triple, and the d^Lambda route.
 
+        The involution star_{m-k} star_k = I is checked for k <= n only:
+        each star_k is square, C(m, k) x C(m, k), so star_{m-k} star_k = I
+        forces star_k star_{m-k} = I, the involution on degree m - k.  The
+        accepted stars are the same as with every degree checked, and a
+        block corrupted on a degree j > n fails on degree m - j, which
+        the upward run reaches first in either case.
         With Lambda = -iota_Pi pinned by Lambda(omega) = n, the star
         identities come out as Lambda = star L star and
         d^Lambda = (-1)^k star d star; no choice of per-degree signs for
         star can produce the opposite composite signs, so these are the
-        ones checked, as block equations on each degree k.  The degrees
+        ones checked, as block equations on every degree k.  The degrees
         run upwards, so the involutions have made star_{k-2} and star_{k-1}
-        invertible, and the two are checked with one product per term as
+        invertible (star_j for j <= n by its own check, for j > n by that
+        of m - j < j), and the two are checked with one product per term as
         star_{k-2} Lambda_k = L_{m-k} star_k and star_{k-1} d^Lambda_k =
         (-1)^k d_{m-k} star_k: each residual is that star times the triple
         product's, with the same zero columns and first failing monomial.
         """
         star, m = op.block, self.dim
         for k in range(m + 1):
-            involution = combination(
-                [(1, star(m - k), star(k)), (-1, QMatrix.identity(comb(m, k)))]
-            )
-            self._require(involution, k, k, "star star != id")
+            if k <= self.n:
+                involution = combination(
+                    [(1, star(m - k), star(k)), (-1, QMatrix.identity(comb(m, k)))]
+                )
+                self._require(involution, k, k, "star star != id")
             conjugate = combination(
                 [(1, self.L_block(m - k), star(k)), (-1, star(k - 2), self.lambda_block(k))]
             )
@@ -406,7 +420,8 @@ class SymplecticStructure:
         for r, p in model._projected(k, identity).items():
             primitive = model.lambda_block(k - 2 * r) @ p
             model._require(primitive, k, k - 2 * r - 2, f"Lefschetz projector r={r} not primitive")
-            reassembly.append((Fraction(1, factorial(r)), model.L_power_block(r, k - 2 * r), p))
+            c = Fraction(1, factorial(r))  # L^0 = I: the r = 0 term is P itself
+            reassembly.append((c, model.L_power_block(r, k - 2 * r), p) if r else (c, p))
         model._require(
             combination(reassembly), k, k, "Lefschetz projectors do not sum to the identity"
         )
@@ -428,8 +443,9 @@ class SymplecticStructure:
             chain.append(self.lambda_block(k - 2 * j + 2) @ chain[-1])
         projected = {}
         for r in _r_range(k, n):
-            terms = []
-            for ell, v in enumerate(chain[r:]):
+            # L^0 = I, so the ell = 0 term is a_{r,0} Lambda^r start itself.
+            terms = [(lefschetz_coefficient(r, 0, n, k), chain[r])]
+            for ell, v in enumerate(chain[r + 1 :], 1):
                 a = lefschetz_coefficient(r, ell, n, k) / factorial(ell)
                 terms.append((a, self.L_power_block(ell, k - 2 * (r + ell)), v))
             projected[r] = combination(terms)

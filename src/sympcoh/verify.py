@@ -20,9 +20,9 @@ Three suites, all exact:
   the torus rigidity of HLC among nilpotent algebras.
 
 Random symplectic structures are produced by drawing a random closed
-non-degenerate 2-form on a catalog algebra and applying a random
-invertible change of coframe, so validity is guaranteed by construction
-while coefficients become generic.
+non-degenerate 2-form on a catalog algebra (each built once per
+process) and applying a random invertible change of coframe, so validity
+is guaranteed by construction while coefficients become generic.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import comb
 
@@ -225,6 +226,15 @@ def _random_closed_nondegenerate(g: LieAlgebra, rng: random.Random) -> Form | No
     return None
 
 
+@lru_cache(maxsize=None)
+def _catalog_algebra(text: str) -> LieAlgebra:
+    """The parsed, Jacobi-checked algebra of a catalog text; cached and shared, so read only.
+
+    A random structure is built on its own coframe-changed algebra, never on this one.
+    """
+    return build_lie_algebra(parse_structure_equations(text))
+
+
 def random_symplectic_structure(
     dim: int, rng: random.Random, nilpotent_only: bool = False
 ) -> SymplecticStructure:
@@ -234,7 +244,7 @@ def random_symplectic_structure(
     bases = list(BASE_STRUCTURES[dim])
     while True:
         text = rng.choice(bases)
-        g = build_lie_algebra(parse_structure_equations(text))
+        g = _catalog_algebra(text)
         if nilpotent_only and not check_properties(g).nilpotent:
             continue
         omega = _random_closed_nondegenerate(g, rng)
@@ -437,14 +447,12 @@ def verify_structure(
 # ---------------------------------------------------------------------------
 
 
+def _random_vector(rng: random.Random, n: int) -> list[Fraction]:
+    return [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2))) for _ in range(n)]
+
+
 def _random_matrix(rng: random.Random, nrows: int, ncols: int) -> QMatrix:
-    return QMatrix(
-        [
-            [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2))) for _ in range(ncols)]
-            for _ in range(nrows)
-        ],
-        ncols,
-    )
+    return QMatrix([_random_vector(rng, ncols) for _ in range(nrows)], ncols)
 
 
 def linalg_suite(check: _Recorder, rng: random.Random, rounds: int = 12) -> None:
@@ -464,10 +472,10 @@ def linalg_suite(check: _Recorder, rng: random.Random, rounds: int = 12) -> None
 
         ambient = rng.randint(2, 6)
         a = Subspace.from_vectors(
-            ambient, [_random_matrix(rng, 1, ambient).rows[0] for _ in range(rng.randint(0, 3))]
+            ambient, [_random_vector(rng, ambient) for _ in range(rng.randint(0, 3))]
         )
         b = Subspace.from_vectors(
-            ambient, [_random_matrix(rng, 1, ambient).rows[0] for _ in range(rng.randint(0, 3))]
+            ambient, [_random_vector(rng, ambient) for _ in range(rng.randint(0, 3))]
         )
         lhs = a.dim + b.dim
         rhs = subspace_sum(a, b).dim + subspace_intersect(a, b).dim

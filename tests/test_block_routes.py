@@ -93,6 +93,10 @@ def test_wedge_pairing_is_the_top_coefficient_of_monomial_wedges(dim):
         assert pairing == QMatrix(want, comb(dim, dim - k))
 
 
+def test_wedge_pairing_is_built_once_per_dimension_and_degree():
+    assert wedge_pairing(6, 3) is wedge_pairing(6, 3)
+
+
 def _star_block_by_signs(s, k: int) -> QMatrix:
     """Block k of the star as rows of the Gram matrix moved and signed one by one."""
     c = s.volume_coeff / factorial(s.n)

@@ -2,8 +2,9 @@
 
 Class coordinates are rows times the cached S^T = C^T (C C^T)^{-1}, so
 `classes_of` transposes nothing; L^0 is the identity, so a lift by r = 0
-reads no power block; and the weight operator H is built as diagonal
-integer blocks, with no `combination` call.
+and the Lefschetz projectors read no zeroth power block; and the weight
+operator H is built as diagonal integer blocks, with no `combination`
+call.
 """
 
 from math import comb
@@ -12,7 +13,9 @@ import pytest
 
 import sympcoh.linalg
 import sympcoh.symplectic
-from sympcoh import QMatrix, SymplecticCohomology, corpus_names, corpus_model, structure_from_model
+from sympcoh import (
+    Form, QMatrix, SymplecticCohomology, corpus_model, corpus_names, structure_from_model,
+)
 from sympcoh.symplectic import SymplecticStructure
 
 
@@ -50,6 +53,20 @@ def test_lifts_by_r_zero_read_no_power_block(engine, monkeypatch):
     assert engine._lefschetz_iso(engine.de_rham, 0)
     assert engine._lefschetz_iso(engine.d_plus_dlambda, 0)
     assert powers == []
+
+
+def test_the_lefschetz_projectors_read_no_zeroth_power(monkeypatch):
+    """The ell = 0 projector terms and the r = 0 reassembly term are no identity products."""
+    s = structure_from_model(corpus_model("example1"))
+    powers = []
+    real = SymplecticStructure.L_power_block
+    monkeypatch.setattr(
+        SymplecticStructure, "L_power_block",
+        lambda self, r, k: powers.append(r) or real(self, r, k),
+    )
+    for k in range(s.dim + 1):
+        s.lefschetz_decompose(Form.monomial(s.dim, range(1, k + 1)))
+    assert powers and 0 not in powers
 
 
 def test_lifts_match_the_power_blocks(engine):

@@ -19,6 +19,7 @@ from sympcoh import (
     OddDimension,
     build_lie_algebra,
     corpus_model,
+    corpus_names,
     lefschetz_coefficient,
     load_model,
     parse_form,
@@ -27,7 +28,8 @@ from sympcoh import (
     validate_symplectic,
 )
 from sympcoh import symplectic
-from sympcoh.exterior import monomial_basis
+from sympcoh.exterior import monomial_basis, wedge_pairing
+from sympcoh.linalg import combination
 from sympcoh.verify import random_form, random_symplectic_structure
 
 
@@ -391,3 +393,49 @@ def test_pairing_matrix_of_a_degree_outside_the_complex_raises():
     for k in (-1, s.dim + 1):
         with pytest.raises(ValueError, match=rf"degree {k} outside 0\.\.6"):
             s.pairing_matrix(k)
+
+
+# -- the star blocks as signed row permutations --------------------------------
+
+
+def _star_structure(name: str):
+    """A corpus model by name, or "random<dim>": a random structure seeded by its dimension."""
+    if name.startswith("random"):
+        dim = int(name[len("random") :])
+        return random_symplectic_structure(dim, random.Random(dim))
+    return structure_from_model(corpus_model(name))
+
+
+@pytest.mark.parametrize("name", [*corpus_names(), "random4", "random6", "random8"])
+def test_star_blocks_are_the_product_with_the_wedge_pairing(name):
+    """Each moved and scaled Gram row equals the product c S_k^T G_k it replaces."""
+    s = _star_structure(name)
+    c = s.volume_coeff / factorial(s.n)
+    for k, gram in enumerate(s._gram_blocks()):
+        oracle = combination([(c, wedge_pairing(s.dim, k).transpose(), gram)])
+        assert s.star_op.block(k) == oracle, k
+
+
+@pytest.mark.parametrize("j", [4, 5, 6])
+def test_a_star_block_corrupted_above_the_middle_fails_its_involution(j):
+    """star_j star_{m-j} = I is checked on degree m - j < j, the pair's only involution check."""
+    s = structure_from_model(corpus_model("example1"))
+    walk = s._gram_blocks
+    s._gram_blocks = lambda: (g.scaled(2) if k == j else g for k, g in enumerate(walk()))
+    with pytest.raises(InternalInconsistencyError, match=rf"^star star != id on degree {6 - j} "):
+        s.star_op
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_the_star_makes_one_involution_product_per_complementary_pair(dim, monkeypatch):
+    """Building the blocks makes no product; validating makes n + 1 involution products."""
+    s = _star_structure(f"random{dim}")
+    calls, built = [], []
+    combine, validate = symplectic.combination, s._validate_star
+    monkeypatch.setattr(symplectic, "combination", lambda t: calls.append(t) or combine(t))
+    monkeypatch.setattr(s, "_validate_star", lambda op: built.append(len(calls)) or validate(op))
+    stars = {id(block) for block in s.star_op.blocks.values()}
+    assert built == [0]
+    involutions = [terms for terms in calls if {id(terms[0][1]), id(terms[0][2])} <= stars]
+    assert len(involutions) == s.n + 1
+    assert len(calls) == s.n + 1 + 2 * (s.dim + 1)  # and the conjugation and route per degree

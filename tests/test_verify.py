@@ -20,7 +20,12 @@ from sympcoh import (
 from sympcoh.exterior import GradedOperator, nonzero_columns
 from sympcoh.linalg import QMatrix
 from sympcoh.verify import (
-    _Recorder, operator_identity_suite, random_symplectic_structure, verify_structure,
+    BASE_STRUCTURES,
+    _catalog_algebra,
+    _Recorder,
+    operator_identity_suite,
+    random_symplectic_structure,
+    verify_structure,
 )
 
 TABLE = (
@@ -230,3 +235,23 @@ def test_random_dim10_structure_builds_and_its_star_validates():
     engine = SymplecticCohomology(s)
     assert engine.betti == (1, 7, 22, 42, 57, 62, 57, 42, 22, 7, 1)
     assert engine.hlc().overall is False
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_a_random_structure_never_holds_the_cached_catalog_algebra(dim):
+    """The catalog algebra is parsed once; the coframe-changed one is built afresh."""
+    rng = random.Random(dim)
+    structures = [random_symplectic_structure(dim, rng) for _ in range(3)]
+    catalog = [_catalog_algebra(text) for text in BASE_STRUCTURES[dim]]
+    assert all(_catalog_algebra(text) is g for text, g in zip(BASE_STRUCTURES[dim], catalog))
+    assert not any(s.g is g for s in structures for g in catalog)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_output_does_not_depend_on_the_process_caches(seed):
+    """The second run reuses the catalog algebras and wedge pairings the first one built."""
+    def text():
+        summary = run_verify(seed=seed, dims=(6,), count_per_dim=1, include_corpus=False)
+        return summary.format_text()
+
+    assert text() == text()
