@@ -30,7 +30,13 @@ It checks for each:
   change that alters any exact output fails;
 * the Betti numbers: Kuenneth, H(g + R^2m) = H(g) (x) Lambda(R^2m), from
   nil10's row for nil12 and nil14, and the nice-basis models' rows for
-  the generic ones.
+  the generic ones;
+* coframe invariance, for the generic ones: every JSON field of the
+  report but `model` and the `representatives` lists (Betti numbers,
+  cohomology and H^(r,s) dimensions, decomposition, HLC and dd^Lambda
+  verdicts) equals that of the report of the nice-basis model it was
+  rewritten from, read from `perfbench/models/`.  A mismatch names the
+  field.
 
 Each run's wall time is printed with the process peak RSS so far, so
 two checkouts can be compared in alternating runs.  The verify runs
@@ -52,9 +58,10 @@ import time
 from math import comb
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
-from sympcoh import parse_model_text, run_compute, run_verify  # noqa: E402
+from sympcoh import load_model, parse_model_text, run_compute, run_verify  # noqa: E402
 
 # sha256 of the seed-0 dim-10 verify text, recorded before its Lefschetz
 # decomposition and coframe change became block products.
@@ -174,6 +181,51 @@ MODELS = {
 }
 
 
+# The nice-basis model each generic one was rewritten from.
+NICE_MODELS = {
+    "generic_nil8": ROOT / "perfbench" / "models" / "nil8.model",
+    "generic_nil10": ROOT / "perfbench" / "models" / "nil10.model",
+}
+
+
+def invariant_fields(report: dict) -> dict[str, object]:
+    """Each field of a report no change of coframe may alter, keyed by its path.
+
+    That is every field but `model` and the `representatives` lists.
+    """
+    out: dict[str, object] = {}
+
+    def walk(x, path: str) -> None:
+        if isinstance(x, dict):
+            for key, value in x.items():
+                if key != "representatives" and f"{path}{key}" != "model":
+                    walk(value, f"{path}{key}.")
+        elif isinstance(x, list) and any(isinstance(v, (dict, list)) for v in x):
+            for i, value in enumerate(x):
+                walk(value, f"{path[:-1]}[{i}].")
+        else:
+            out[path[:-1]] = x
+
+    walk(report, "")
+    return out
+
+
+def check_coframe(name: str, report: dict) -> list[str]:
+    """Compare a generic report with its nice-basis model's, field by field."""
+    path = NICE_MODELS[name]
+    nice = invariant_fields(json.loads(run_compute(load_model(path)).to_json()))
+    got = invariant_fields(report)
+    problems = []
+    for field in sorted(got.keys() | nice.keys()):
+        if field not in got or field not in nice or got[field] != nice[field]:
+            problems.append(
+                f"{name}: field {field} is {got.get(field, '(missing)')!r}, "
+                f"{path.name} gives {nice.get(field, '(missing)')!r}"
+            )
+    print(f"{name}: {len(nice)} invariant fields against {path.name}, {len(problems)} differ")
+    return problems
+
+
 def peak_mb() -> float:
     """The peak resident set size of this process so far, in MB (Linux reports KB)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -190,9 +242,11 @@ def check(name: str) -> list[str]:
     problems = []
     if digest != want:
         problems.append(f"{name}: report sha256 {digest}, expected {want}")
-    betti = json.loads(report)["betti"]
-    if betti != betti_want:
-        problems.append(f"{name}: Betti numbers {betti}, expected {betti_want}")
+    data = json.loads(report)
+    if data["betti"] != betti_want:
+        problems.append(f"{name}: Betti numbers {data['betti']}, expected {betti_want}")
+    if name in NICE_MODELS:
+        problems += check_coframe(name, data)
     return problems
 
 

@@ -29,15 +29,15 @@ is the one reduction against a basis, behind `reduce`, `contains`,
 which takes the class coordinates of every row of a block as one product
 with the cached solver S^T; `class_matrix` is its transpose.
 
-Subspaces are stored by their unique RREF basis, so subspace equality
-is literal equality of matrices.  Each subspace comes out of one
-elimination: `kernel` reads its RREF basis off the free vectors of one
-`rref`, and the quotient complement and `subspace_intersect` read theirs
-off a kernel or a Zassenhaus block; only `Subspace.spanned` reduces an
-arbitrary generating set.  All values are immutable after
-construction, apart from data their owner derives on first use (a
-quotient's complement and solver), and all functions are pure; nothing
-here keeps shared mutable state.
+`rref` returns one row per pivot, and a `Subspace` is just its unique
+RREF basis (the ambient dimension is its column count), so subspace
+equality is literal equality of matrices.  Each comes out of one
+elimination: `Subspace.spanned` keeps an `rref` output as it is, `kernel`
+reads the free vectors of one `rref`, and the quotient complement and
+`subspace_intersect` read theirs off a kernel or a Zassenhaus block.
+All values are immutable after construction, apart from data their
+owner derives on first use (a quotient's complement and solver), and all
+functions are pure; nothing here keeps shared mutable state.
 
 Degenerate inputs (a zero quotient, a meet with the zero space) take
 the general path.  A fast path stays where replaying the inputs of one
@@ -425,8 +425,8 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     """Unique reduced row echelon form of *m*.
 
     Returns ``(reduced, pivot_columns, rank)``.  The reduced matrix has
-    the same shape as the input (zero rows are kept at the bottom), unit
-    pivots, and zeros above and below every pivot.
+    one row per pivot (``reduced.nrows == rank``, no zero rows), the
+    input's columns, unit pivots, and zeros above and below every pivot.
 
     Fraction-free sparse Gauss-Jordan, one input row at a time.  Only
     the line a row spans matters, so rows are integer vectors, kept
@@ -477,7 +477,6 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
         row = found[p]
         lead = row[p]
         rows.append((row, lead) if lead > 0 else ({c: -x for c, x in row.items()}, -lead))
-    rows.extend(({}, 1) for _ in range(m.nrows - len(pivots)))
     return QMatrix._wrap(rows, m.ncols), pivots, len(pivots)
 
 
@@ -509,18 +508,17 @@ def kernel(m: QMatrix) -> "Subspace":
         return Subspace.full(m.ncols)
     last = m.ncols - 1
     flipped = [({last - c: x for c, x in nums.items()}, den) for nums, den in m.int_rows]
-    reduced, pivots, rank = rref(QMatrix._wrap(flipped, m.ncols))
-    pivot_rows = reduced.int_rows[:rank]
-    den = lcm(*[d for _, d in pivot_rows])
+    reduced, pivots, _ = rref(QMatrix._wrap(flipped, m.ncols))
+    den = lcm(*[d for _, d in reduced.int_rows])
     pivot_set = {last - p for p in pivots}
     # Free vector of f over den, in the original order: 1 at f, -reduced[p][f] at pivot p.
     vectors = {f: {f: den} for f in range(m.ncols) if f not in pivot_set}
-    for p, (nums, d) in zip(pivots, pivot_rows):
+    for p, (nums, d) in zip(pivots, reduced.int_rows):
         scale = den // d
         for c, x in nums.items():
             if c != p:
                 vectors[last - c][last - p] = -x * scale
-    return Subspace(m.ncols, QMatrix.from_ints([(v, den) for v in vectors.values()], m.ncols))
+    return Subspace(QMatrix.from_ints([(v, den) for v in vectors.values()], m.ncols))
 
 
 def image(m: QMatrix) -> "Subspace":
@@ -560,8 +558,8 @@ def inverse(m: QMatrix) -> QMatrix:
     n = m.nrows
     # Row i scaled by its denominator: [den A_i | den e_i] spans the same line.
     augmented = [({**nums, n + i: den}, 1) for i, (nums, den) in enumerate(m.int_rows)]
-    reduced, pivots, rank = rref(QMatrix._wrap(augmented, 2 * n))
-    if rank < n or any(p >= n for p in pivots):
+    reduced, pivots, _ = rref(QMatrix._wrap(augmented, 2 * n))
+    if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return QMatrix.from_ints(
         [({c - n: x for c, x in nums.items() if c >= n}, den) for nums, den in reduced.int_rows],
@@ -571,13 +569,12 @@ def inverse(m: QMatrix) -> QMatrix:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of Q^ambient_dim in canonical RREF basis form.
+    """Linear subspace of Q^ambient_dim, held as its canonical RREF basis.
 
     Two subspaces are equal exactly when their bases are identical;
     `from_vectors` canonicalizes any generating set.
     """
 
-    ambient_dim: int
     basis: QMatrix  # rows = basis vectors, in RREF, no zero rows
 
     @classmethod
@@ -593,16 +590,19 @@ class Subspace:
     @classmethod
     def spanned(cls, m: QMatrix) -> Subspace:
         """Span of the rows of *m*, in Q^ncols."""
-        reduced, pivots, rank = rref(m)
-        return cls(m.ncols, QMatrix._wrap(reduced.int_rows[:rank], m.ncols))
+        return cls(rref(m)[0])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, QMatrix.zeros(0, ambient_dim))
+        return cls(QMatrix.zeros(0, ambient_dim))
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, QMatrix.identity(ambient_dim))
+        return cls(QMatrix.identity(ambient_dim))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.ncols
 
     @property
     def dim(self) -> int:
@@ -700,7 +700,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         for p, (nums, den) in zip(pivots, reduced.int_rows)
         if p >= n
     ]
-    return Subspace(n, QMatrix._wrap(inter_rows, n))
+    return Subspace(QMatrix._wrap(inter_rows, n))
 
 
 def image_meet_kernel(m: QMatrix, a: QMatrix) -> Subspace:
@@ -755,7 +755,7 @@ class QuotientSpace:
         v, w = self.total, self.sub
         if not w.dim:
             return v  # every vector is orthogonal to the zero space
-        return Subspace(v.ambient_dim, kernel(w.basis @ v.basis.transpose()).basis @ v.basis)
+        return Subspace(kernel(w.basis @ v.basis.transpose()).basis @ v.basis)
 
     @property
     def representatives(self) -> tuple[Vector, ...]:

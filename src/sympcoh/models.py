@@ -36,10 +36,9 @@ __all__ = [
     "corpus_model",
 ]
 
-VALID_FLAGS = frozenset({"assert-completely-solvable", "assert-lattice"})
-
 FLAG_COMPLETELY_SOLVABLE = "assert-completely-solvable"
 FLAG_LATTICE = "assert-lattice"
+VALID_FLAGS = frozenset({FLAG_COMPLETELY_SOLVABLE, FLAG_LATTICE})
 
 
 @dataclass(frozen=True)

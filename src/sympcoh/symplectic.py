@@ -466,9 +466,9 @@ class SymplecticStructure:
         components: dict[int, Form] = {}
         start = 0
         for r, prim in prims.items():
-            coeffs = QMatrix([solution[start : start + prim.dim]], prim.dim).scaled(factorial(r))
+            coeffs = [x * factorial(r) for x in solution[start : start + prim.dim]]
             start += prim.dim
-            (row,) = (coeffs @ prim.basis).sparse_rows
+            (row,) = (QMatrix([coeffs], prim.dim) @ prim.basis).sparse_rows
             components[r] = Form.from_sparse(self.dim, k - 2 * r, row)
         return LefschetzComponents(k, n, components)
 

@@ -455,10 +455,10 @@ def _random_matrix(rng: random.Random, nrows: int, ncols: int) -> QMatrix:
     return QMatrix([_random_vector(rng, ncols) for _ in range(nrows)], ncols)
 
 
-def linalg_suite(check: _Recorder, rng: random.Random, rounds: int = 12) -> None:
+def linalg_suite(check: _Recorder, rng: random.Random) -> None:
     from .linalg import image
 
-    for i in range(rounds):
+    for i in range(12):
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 6)
         m = _random_matrix(rng, nrows, ncols)
@@ -482,8 +482,8 @@ def linalg_suite(check: _Recorder, rng: random.Random, rounds: int = 12) -> None
         check("subspace_modular_law", lhs == rhs, f"round {i}: {lhs} != {rhs}")
 
 
-def exterior_suite(check: _Recorder, rng: random.Random, rounds: int = 10) -> None:
-    for i in range(rounds):
+def exterior_suite(check: _Recorder, rng: random.Random) -> None:
+    for i in range(10):
         dim = rng.choice((4, 5, 6))
         ka = rng.randint(0, dim)
         kb = rng.randint(0, dim)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -40,7 +41,7 @@ class TestRref:
         reduced, pivots, rank = rref(QMatrix([[2, 4], [1, 2]]))
         assert rank == 1
         assert pivots == (0,)
-        assert reduced == QMatrix([[1, 2], [0, 0]])
+        assert reduced == QMatrix([[1, 2]])
 
     def test_identity_fixed(self):
         eye = QMatrix.identity(4)
@@ -81,9 +82,67 @@ class TestRref:
     def test_reduced_input_comes_back_as_it_is(self, rows, pivots):
         m = QMatrix(rows)
         reduced, found, rank = rref(m)
-        assert reduced == m
+        assert reduced == QMatrix([row for row in rows if any(row)], m.ncols)
         assert found == pivots
         assert rank == len(pivots)
+
+    @pytest.mark.parametrize(
+        "rows, ncols, want",
+        [
+            # zero rows and a dependent row among independent ones
+            ([[0, 0, 0], [1, 2, 3], [0, 0, 0], [2, 4, 6], [0, 1, 1]], 3,
+             [[1, 0, 1], [0, 1, 1]]),
+            ([[1, 1], [2, 2], [3, 3]], 2, [[1, 1]]),
+            ([[0, 0, 0, 0], [0, 0, 0, 0]], 4, []),  # all zero: 0 x n out
+            ([], 4, []),  # empty 0 x n block
+        ],
+    )
+    def test_returns_one_row_per_pivot(self, rows, ncols, want):
+        reduced, pivots, rank = rref(QMatrix(rows, ncols))
+        assert reduced.shape == (rank, ncols)
+        assert len(pivots) == rank
+        assert reduced == QMatrix(want, ncols)
+        assert all(nums for nums, _ in reduced.int_rows)
+
+
+def _routes():
+    """Every way the package builds a subspace: name -> (ambient dimension, thunk)."""
+    a = Subspace.from_vectors(4, [[1, 2, 0, 1], [0, 0, 1, 1]])
+    b = Subspace.from_vectors(4, [[1, 2, 1, 2], [0, 1, 0, 0]])
+    m = QMatrix([[1, 2, 0, 1], [2, 4, 0, 2], [0, 0, 0, 0]])
+    v = Subspace.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
+    w = Subspace.from_vectors(4, [[1, 1, 0, 0]])
+    return {
+        "direct": (4, lambda: Subspace(rref(m)[0])),
+        "spanned": (4, lambda: Subspace.spanned(m)),
+        "kernel": (4, lambda: kernel(m)),
+        "image": (3, lambda: image(m)),
+        "zero": (4, lambda: Subspace.zero(4)),
+        "full": (4, lambda: Subspace.full(4)),
+        "subspace_sum": (4, lambda: subspace_sum(a, b)),
+        "subspace_intersect": (4, lambda: subspace_intersect(a, b)),
+        "image_meet_kernel": (4, lambda: linalg.image_meet_kernel(m.transpose(), m)),
+        "complement": (4, lambda: linalg.QuotientSpace(v, w).complement),
+        "from_vectors": (4, lambda: Subspace.from_vectors(4, [[0] * 4, [2, 4, 0, 2], [1, 2, 0, 1]])),
+    }
+
+
+class TestSubspaceIsItsBasis:
+    def test_basis_is_the_only_field(self):
+        basis = QMatrix([[1, 0, 2], [0, 1, -1]])
+        space = Subspace(basis)
+        assert [f.name for f in dataclasses.fields(Subspace)] == ["basis"]
+        assert space.basis is basis
+        assert space.ambient_dim == 3
+        assert space == Subspace.from_vectors(3, [[1, 1, 1], [1, 0, 2]])
+
+    @pytest.mark.parametrize("route", list(_routes()))
+    def test_every_route_keeps_width_and_no_zero_rows(self, route):
+        ambient, build = _routes()[route]
+        space = build()
+        assert space == Subspace(space.basis)
+        assert space.ambient_dim == space.basis.ncols == ambient
+        assert all(nums for nums, _ in space.basis.int_rows)
 
 
 class TestKernelImage:
@@ -356,8 +415,8 @@ class TestSparseRows:
 
     def test_zero_rows_stay_at_the_bottom(self):
         reduced, pivots, rank = rref(QMatrix([[0, 0], [0, 3], [0, 6]]))
-        assert reduced.shape == (3, 2)
-        assert reduced == QMatrix([[0, 1], [0, 0], [0, 0]])
+        assert reduced.shape == (1, 2)  # the zero rows are dropped
+        assert reduced == QMatrix([[0, 1]])
         assert (pivots, rank) == ((1,), 1)
 
     def test_stacked_blocks(self):
