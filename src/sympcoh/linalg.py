@@ -33,7 +33,8 @@ with the cached solver S^T; `class_matrix` is its transpose.
 RREF basis (the ambient dimension is its column count), so subspace
 equality is literal equality of matrices.  Each comes out of one
 elimination: `Subspace.spanned` keeps an `rref` output as it is, `kernel`
-reads the free vectors of one `rref`, and the quotient complement and
+reads the free vectors of one last-column-pivot `rref` of its own block
+in place, and the quotient complement and
 `subspace_intersect` read theirs off a kernel or a Zassenhaus block.
 All values are immutable after construction, apart from data their
 owner derives on first use (a quotient's complement and solver), and all
@@ -45,7 +46,12 @@ corpus and one verify6 cycle showed it paying, in ms per op: `kernel`
 and `image` of a zero block (0.09-0.15 vs 0.32-0.57, 0.02-0.04 vs
 0.07-0.14), `QuotientSpace.complement` with w = 0 (0.01 vs 0.19-0.29),
 `transpose` of integer rows without `from_ints` (0.40-0.86 vs 0.61-1.30)
-and `from_ints` on an empty row (7% on verify6).  `@` skips a row with no
+and `from_ints` on an empty row (7% on verify6).  Integer rows skip a
+rescaling pass that cannot change them: `kernel` wraps free vectors over
+denominator 1 without `from_ints` (0.58-0.62 vs 0.66-0.71 on corpus,
+1.80-1.91 vs 1.84-2.01 on verify6), and `Subspace._remainder` copies a
+vector when the hit rows' lcm is 1 (0.24-0.25 vs 0.28-0.29, 0.44 vs
+0.50).  `@` skips a row with no
 terms, and `rref` takes a one-entry row that meets no pivot as a unit row:
 13% and 15% of their time on one corpus cycle's inputs.  `Subspace._remainder`
 walks the shorter of the vector and the pivots, as one order slowed the
@@ -421,12 +427,17 @@ def combination(terms: Sequence[tuple]) -> QMatrix:
     return QMatrix._wrap(out, shape[1])
 
 
-def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
+def rref(m: QMatrix, *, last: bool = False) -> tuple[QMatrix, tuple[int, ...], int]:
     """Unique reduced row echelon form of *m*.
 
     Returns ``(reduced, pivot_columns, rank)``.  The reduced matrix has
     one row per pivot (``reduced.nrows == rank``, no zero rows), the
     input's columns, unit pivots, and zeros above and below every pivot.
+    Each row's pivot is its first nonzero column, and the rows come in
+    increasing pivot order.  With ``last=True`` each row's pivot is its
+    last nonzero column and the rows come in decreasing pivot order:
+    the RREF of *m* with its columns reversed, read back in the original
+    column indices.
 
     Fraction-free sparse Gauss-Jordan, one input row at a time.  Only
     the line a row spans matters, so rows are integer vectors, kept
@@ -434,9 +445,10 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     reduced, each keyed by its pivot column, so a new row is cleared of
     every known pivot in one pass: with prow's pivot a and the row's
     entry b there, row <- (a/g) row - (b/g) prow for g = gcd(a, b).  If
-    anything is left, its first column is a new pivot, which is then
-    cleared from the earlier rows the same way.  Each output row is the
-    primitive row over its pivot entry.  Every input is eliminated.
+    anything is left, its first column (its last, with ``last=True``) is
+    a new pivot, which is then cleared from the earlier rows the same way.
+    Each output row is the primitive row over its pivot entry.  Every
+    input is eliminated.
     """
     found: dict[int, dict[int, int]] = {}
     for source, _ in m.int_rows:
@@ -466,12 +478,12 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
             if not row:
                 continue
             row = _primitive(row)
-            pc = min(row)
+            pc = max(row) if last else min(row)
         for q, prow in found.items():
             if pc in prow:
                 found[q] = _primitive(_eliminate(prow, pc, row))
         found[pc] = row
-    pivots = tuple(sorted(found))
+    pivots = tuple(sorted(found, reverse=last))
     rows: list[IntRow] = []
     for p in pivots:
         row = found[p]
@@ -496,29 +508,31 @@ def _eliminate(row: dict[int, int], p: int, prow: dict[int, int]) -> dict[int, i
 def kernel(m: QMatrix) -> "Subspace":
     """Null space { v : m v = 0 } as a canonical subspace of Q^ncols.
 
-    One elimination, of *m* with its columns in reverse order, whose
-    free vectors already are the RREF basis.  In the reversed order a
-    pivot row has entries only at free columns after its pivot, so in
-    the original order only at free columns before it.  The free vector
-    of a free column f is 1 at f and minus the pivot rows' entries in f
-    at their pivots, which all lie after f: its lead is f, with entry 1,
+    One elimination, ``rref(m, last=True)``, whose free vectors already
+    are the RREF basis.  A row pivoting on its last nonzero column has
+    entries only at free columns before its pivot.  The free vector of a
+    free column f is 1 at f and minus the pivot rows' entries in f at
+    their pivots, which all lie after f: its lead is f, with entry 1,
     and it is zero at every other free column, the other vectors' leads.
+    Over a common denominator of 1 that 1 makes each vector primitive,
+    so the vectors are taken as they are.
     """
     if m.is_zero():  # all-zero or empty-shape block: no elimination needed
         return Subspace.full(m.ncols)
-    last = m.ncols - 1
-    flipped = [({last - c: x for c, x in nums.items()}, den) for nums, den in m.int_rows]
-    reduced, pivots, _ = rref(QMatrix._wrap(flipped, m.ncols))
+    reduced, pivots, _ = rref(m, last=True)
     den = lcm(*[d for _, d in reduced.int_rows])
-    pivot_set = {last - p for p in pivots}
-    # Free vector of f over den, in the original order: 1 at f, -reduced[p][f] at pivot p.
+    pivot_set = set(pivots)
+    # Free vector of f over den: 1 at f, -reduced[p][f] at pivot p.
     vectors = {f: {f: den} for f in range(m.ncols) if f not in pivot_set}
     for p, (nums, d) in zip(pivots, reduced.int_rows):
         scale = den // d
         for c, x in nums.items():
             if c != p:
-                vectors[last - c][last - p] = -x * scale
-    return Subspace(QMatrix.from_ints([(v, den) for v in vectors.values()], m.ncols))
+                vectors[c][p] = -x * scale
+    rows = [(v, den) for v in vectors.values()]
+    if den == 1:
+        return Subspace(QMatrix._wrap(rows, m.ncols))
+    return Subspace(QMatrix.from_ints(rows, m.ncols))
 
 
 def image(m: QMatrix) -> "Subspace":
@@ -631,7 +645,7 @@ class Subspace:
         else:
             hits = [p for p in rows if p in nums]
         den = lcm(*[rows[p][1] for p in hits])
-        out = {c: x * den for c, x in nums.items()}
+        out = dict(nums) if den == 1 else {c: x * den for c, x in nums.items()}
         for p in hits:
             pnums, d = rows[p]
             _sub_multiple(out, nums[p] * (den // d), pnums)

@@ -128,9 +128,14 @@ def load_model(path) -> ModelFile:
 
     p = Path(path)
     try:
-        text = p.read_text()
+        data = p.read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read model file {p}: {exc}") from exc
+    try:
+        # The "utf-8-sig" reading, with error offsets counted in the file's own bytes.
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"model file {p} is not UTF-8: bad byte at offset {exc.start}") from exc
     return parse_model_text(text, default_name=p.stem)
 
 

@@ -47,6 +47,25 @@ def test_compute_model_file(tmp_path, capsys):
     assert data["hlc"]["overall"] is False
 
 
+@pytest.mark.parametrize(
+    "data, offset",
+    [(b"\xff\xfe", 0), (b"structure = 0,0\nomega = 12\n\xff", 27), (b"\xef\xbb\xbf12\xfe", 5)],
+)
+def test_model_file_that_is_not_utf8_is_input_error(tmp_path, capsys, data, offset):
+    path = tmp_path / "binary.model"
+    path.write_bytes(data)
+    assert main(["compute", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: model file {path} is not UTF-8: bad byte at offset {offset}\n"
+
+
+def test_model_file_with_a_utf8_bom_is_read(tmp_path, capsys):
+    path = tmp_path / "kt.model"
+    path.write_bytes("structure = 0,0,0,12\nomega = 13+42\n".encode("utf-8-sig"))
+    assert main(["compute", str(path), "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["model"]["name"] == "kt"
+
+
 def test_unknown_model_is_input_error(capsys):
     assert main(["compute", "nonexistent"]) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err

@@ -32,7 +32,7 @@ def rref_calls(monkeypatch):
     """The shape of every block passed to `linalg.rref`, in call order."""
     calls = []
     real = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m.shape) or real(m))
+    monkeypatch.setattr(linalg, "rref", lambda m, **kw: calls.append(m.shape) or real(m, **kw))
     return calls
 
 
@@ -183,6 +183,16 @@ class TestKernelImage:
         assert rref_calls == [m.shape]
         assert space.dim == 3
         assert all(not any(m.apply(v)) for v in space.vectors())
+
+    def test_kernel_eliminates_its_own_block_unflipped(self, monkeypatch):
+        seen = []
+        real = linalg.rref
+        monkeypatch.setattr(linalg, "rref", lambda m, **kw: seen.append((m, kw)) or real(m, **kw))
+        m = QMatrix([[1, 2, 0, -1, 3], [0, 1, 3, 1, 0]])
+        kernel(m)
+        assert len(seen) == 1
+        assert seen[0][0] is m
+        assert seen[0][1] == {"last": True}
 
     def test_rank_nullity(self):
         rng = random.Random(3)

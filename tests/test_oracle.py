@@ -57,6 +57,17 @@ def assert_rref_matches(m: QMatrix) -> None:
     assert want[rank:, :].is_zero_matrix
 
 
+def assert_last_rref_matches(m: QMatrix) -> None:
+    """`rref(m, last=True)` is sympy's RREF of *m* with its columns reversed, mapped back."""
+    reduced, pivots, rank = rref(m, last=True)
+    last = m.ncols - 1
+    want, want_pivots = to_sympy(m)[:, ::-1].rref()
+    assert pivots == tuple(last - p for p in want_pivots)
+    assert rank == len(want_pivots)
+    assert reduced == from_sympy(want[:rank, ::-1])
+    assert want[rank:, :].is_zero_matrix
+
+
 MODELS = {model.name: model for model in corpus()} | {"nil8": load_model(NIL8)}
 
 
@@ -120,6 +131,12 @@ def sparse_matrices(draw, square=False, entries=entries):
 @given(sparse_matrices())
 def test_rref_matches_sympy(m):
     assert_rref_matches(m)
+
+
+@settings(deadline=None, max_examples=40)
+@given(sparse_matrices())
+def test_last_column_rref_matches_sympy(m):
+    assert_last_rref_matches(m)
 
 
 @settings(deadline=None, max_examples=40)
@@ -204,6 +221,12 @@ def test_inverse_matches_sympy(m):
 @given(sparse_matrices(entries=wide_entries))
 def test_rref_matches_sympy_wide_denominators(m):
     assert_rref_matches(m)
+
+
+@settings(deadline=None, max_examples=40)
+@given(sparse_matrices(entries=wide_entries))
+def test_last_column_rref_matches_sympy_wide_denominators(m):
+    assert_last_rref_matches(m)
 
 
 @settings(deadline=None, max_examples=40)
