@@ -19,12 +19,17 @@ caches.  Round i then runs the whole cycle of `workloads.build(workload,
 seed + i)` on both sides, the parent first in even rounds, and times
 every op with `perf_counter`.  Prints each side's p50 and mean op time
 and the change / parent ratio of each.
+
+`--workload` must name a workload of the change checkout's
+`BENCHMARK.json` (the parent's, when the change has none); any other
+name exits 2 with the valid names, before either side is loaded.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import statistics
 import sys
 from pathlib import Path
@@ -59,6 +64,15 @@ def load_side(checkout: Path, side: str):
             sys.modules["sympcoh"] = saved
 
 
+def workload_names(checkouts: list[Path]) -> list[str]:
+    """The workload names in the first of *checkouts* that has a BENCHMARK.json."""
+    for checkout in checkouts:
+        declared = checkout / "BENCHMARK.json"
+        if declared.exists():
+            return [w["name"] for w in json.loads(declared.read_text())["workloads"]]
+    return []
+
+
 def run_cycle(ops, times: list[float] | None) -> None:
     """Run every op once, appending its time to *times*; exit 1 on a failed op."""
     for op in ops:
@@ -76,14 +90,17 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="change checkout")
-    parser.add_argument("--workload", choices=("corpus", "verify6"), required=True)
+    parser.add_argument("--workload", required=True, help="a workload of BENCHMARK.json")
     parser.add_argument("--rounds", type=int, default=40)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    names = workload_names([checkouts["change"], checkouts["parent"]])
+    if args.workload not in names:
+        parser.error(f"unknown workload {args.workload!r} (choose from {', '.join(names)})")
+
     workloads = {side: load_side(checkouts[side], side) for side in SIDES}
     for side in SIDES:
         run_cycle(workloads[side].build(args.workload, args.seed), None)

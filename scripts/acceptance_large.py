@@ -2,6 +2,9 @@
 
     python3 scripts/acceptance_large.py
 
+It takes no options: `--help` prints this text, and any argument exits 2
+before a check runs.
+
 First runs `run_verify(seed=0, dims=(10,), count_per_dim=1,
 include_corpus=False)`, one random structure on the dim-10 catalog
 algebra, whose middle degree has 252 monomials (the Lefschetz
@@ -43,13 +46,14 @@ two checkouts can be compared in alternating runs.  The verify runs
 first, so its peak is its own; a later line shows a larger peak only
 when that report, or what it left cached, needed more.  Exits 1 when
 any check fails.  pytest does not collect this file.  On a 2-core x86-64 VM, the dim-10 verify takes
-1.3-1.6 s and 32 MB; nil14, the largest nice-basis report, 3.2-4.3 s
-and 89 MB; and generic nil10 12-17 s (eight runs each, alternating with
+1.3-1.9 s and 33 MB; nil14, the largest nice-basis report, 3.1-4.8 s
+and 88 MB; and generic nil10 12-15.5 s (eight runs each, alternating with
 runs of the previous commit; this VM's speed drifts between runs).
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import resource
@@ -263,6 +267,9 @@ def check_verify10() -> list[str]:
 
 
 def main() -> int:
+    argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    ).parse_args()
     problems = check_verify10() + [problem for name in MODELS for problem in check(name)]
     for problem in problems:
         print(problem, file=sys.stderr)

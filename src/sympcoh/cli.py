@@ -115,8 +115,10 @@ def _cmd_corpus(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:  # argparse exits 2 on a bad argument, which is EXIT_MATH here; --help exits 0
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         if args.command == "compute":
             return _cmd_compute(args)

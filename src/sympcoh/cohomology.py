@@ -132,15 +132,17 @@ class CohomologySpace:
         return Subspace.spanned(self._class_rows(rows))
 
     def class_of(self, form: Form | Sequence) -> Vector:
-        """Coordinates of a cocycle's class w.r.t. the representatives."""
+        """Class coordinates of a cocycle; NotInSubspace if it is not closed."""
         if not isinstance(form, Form):
-            return self.quotient.coordinates(form)
-        if (form.dim, form.degree) != (self.ambient_dim, self.degree):
+            row = QMatrix([form])
+        elif (form.dim, form.degree) != (self.ambient_dim, self.degree):
             raise AmbientMismatch(
                 f"degree-{form.degree} form over dim {form.dim} in the degree-"
                 f"{self.degree} cohomology over dim {self.ambient_dim}"
             )
-        return self.quotient.sparse_coordinates(form.sparse_vector())
+        else:
+            row = QMatrix.from_sparse([form.sparse_vector()], self.numerator.ambient_dim)
+        return self.quotient.class_rows(row).rows[0]
 
 
 def de_rham_cohomology(g: LieAlgebra) -> tuple[CohomologySpace, ...]:

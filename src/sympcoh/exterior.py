@@ -67,7 +67,7 @@ MAX_DIM = 14
 
 The middle-degree blocks grow like C(dim, dim/2): the full report of
 nil14 (nil10 plus four abelian directions), the largest model measured,
-takes 3.0-4.2 s and 87 MB on a 2-core x86-64 VM with d and omega in
+takes 3.1-4.8 s and 88 MB on a 2-core x86-64 VM with d and omega in
 a nice basis (sparse index patterns; a generic coframe costs far more),
 and each further pair of dimensions multiplies the middle block sizes
 by about four.  `Form` checks it before it builds the C(dim, degree) basis of its

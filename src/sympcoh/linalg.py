@@ -10,9 +10,9 @@ A `QMatrix` holds one form of its entries: sparse integer rows
 ``(numerators, den)``, each a dict {column: nonzero int} over one
 denominator, ``den > 0``, ``gcd(den, *numerators) == 1``, and ``({}, 1)``
 for the empty row (operator blocks are under 1% nonzero at dimension
-10).  `QMatrix(rows)`, `from_sparse` and `from_columns` convert their
-input once and keep none of the caller's rows; `from_ints` takes over
-integer rows as they are.  Fractions appear only as output: `sparse_rows` ({column:
+10).  `QMatrix(rows)` and `from_sparse` convert their input once and
+keep none of the caller's rows; `from_ints` takes over integer rows as
+they are.  Fractions appear only as output: `sparse_rows` ({column:
 Fraction}) and the dense `rows` are read-only views built on first use,
 and vector results are built from integer rows.
 
@@ -21,13 +21,14 @@ and c * A terms row by row over the lcm of the terms' denominators, so a
 block equation such as d L - L d = 0 builds no intermediate matrix; `+`
 and `-` are its two-term cases.  `@` has its own loop, picked by the term
 count: one product needs no per-row lcm, and a corpus op makes about 128
-of them against 20 sums.  `rref` is the one elimination; a square block
-is invertible exactly when its rank is full.  A vector is a one-column
+of them against 20 sums.  `rref` is the one elimination, and `_eliminate`
+its one row-clearing step; a square block is invertible exactly when its
+rank is full.  A vector is a one-column
 block, which `QMatrix.apply_sparse` multiplies by.  `Subspace._remainder`
 is the one reduction against a basis, behind `reduce`, `contains`,
 `contains_subspace` and the membership check of `QuotientSpace.class_rows`,
 which takes the class coordinates of every row of a block as one product
-with the cached solver S^T; `class_matrix` is its transpose.
+with the cached solver S^T.
 
 `rref` returns one row per pivot, and a `Subspace` is just its unique
 RREF basis (the ambient dimension is its column count), so subspace
@@ -219,11 +220,6 @@ class QMatrix:
         return cls._wrap([({}, 1) for _ in range(nrows)], ncols)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], nrows: int | None = None) -> QMatrix:
-        """The matrix with these columns; *nrows* gives its height when there are none."""
-        return cls(columns, nrows).transpose()
-
-    @classmethod
     def stacked(cls, blocks: Sequence[QMatrix]) -> QMatrix:
         """The blocks one above the other; they must share a column count."""
         if not blocks:
@@ -265,9 +261,6 @@ class QMatrix:
 
     def column(self, j: int) -> Vector:
         return tuple(row.get(j, _ZERO) for row in self.sparse_rows)
-
-    def columns(self) -> list[Vector]:
-        return list(self.transpose().rows)
 
     def transpose(self) -> QMatrix:
         rows = self.int_rows
@@ -335,9 +328,6 @@ class QMatrix:
 
     def __neg__(self) -> QMatrix:
         return combination([(-1, self)])
-
-    def scaled(self, factor) -> QMatrix:
-        return combination([(factor, self)])
 
     # -- comparison ----------------------------------------------------
 
@@ -444,9 +434,10 @@ def rref(m: QMatrix, *, last: bool = False) -> tuple[QMatrix, tuple[int, ...], i
     primitive (content 1).  The rows found so far are kept fully
     reduced, each keyed by its pivot column, so a new row is cleared of
     every known pivot in one pass: with prow's pivot a and the row's
-    entry b there, row <- (a/g) row - (b/g) prow for g = gcd(a, b).  If
-    anything is left, its first column (its last, with ``last=True``) is
-    a new pivot, which is then cleared from the earlier rows the same way.
+    entry b there, `_eliminate` sets row <- (a/g) row - (b/g) prow for
+    g = gcd(a, b).  If anything is left, its first column (its last, with
+    ``last=True``) is a new pivot, which `_eliminate` then clears from
+    the earlier rows.
     Each output row is the primitive row over its pivot entry.  Every
     input is eliminated.
     """
@@ -461,20 +452,7 @@ def rref(m: QMatrix, *, last: bool = False) -> tuple[QMatrix, tuple[int, ...], i
         else:
             row = dict(source)
             for p in hits:
-                prow = found[p]
-                a, b = prow[p], row[p]
-                if b % a:
-                    g = gcd(a, b)
-                    a, b = a // g, b // g
-                    row = {c: a * x for c, x in row.items()}
-                else:
-                    b //= a
-                for c, x in prow.items():
-                    v = row.get(c, 0) - b * x
-                    if v:
-                        row[c] = v
-                    else:
-                        del row[c]
+                row = _eliminate(row, p, found[p])
             if not row:
                 continue
             row = _primitive(row)
@@ -678,9 +656,6 @@ class Subspace:
         _check_ambient(self, other)
         return all(self._reduces_to_zero(nums) for nums, _ in other.basis.int_rows)
 
-    def vectors(self) -> tuple[Vector, ...]:
-        return self.basis.rows
-
 
 def _check_ambient(a: Subspace, b: Subspace) -> None:
     if a.ambient_dim != b.ambient_dim:
@@ -729,10 +704,9 @@ class QuotientSpace:
     `QuotientSpace(v, w)` checks w <= v (NotSubspace), and `dim` is
     dim v - dim w.  Representatives are the canonical basis of v
     intersected with the orthogonal complement of w under the standard
-    dot product on coefficient vectors; `coordinates` writes any x in v
-    as (representative part, w part) and returns the representative
-    coordinates, which vanish exactly when x lies in w.  `class_rows`
-    does the same for every row of a block at once.
+    dot product on coefficient vectors; `class_rows` writes each row x of
+    a block in v as (representative part, w part) and returns the
+    representative coordinates, which vanish exactly when x lies in w.
 
     Every row of the complement C is orthogonal to every row of the
     basis W of w, so the Gram matrix of [C; W] is block diagonal, and
@@ -771,21 +745,10 @@ class QuotientSpace:
             return v  # every vector is orthogonal to the zero space
         return Subspace(kernel(w.basis @ v.basis.transpose()).basis @ v.basis)
 
-    @property
-    def representatives(self) -> tuple[Vector, ...]:
-        return self.complement.basis.rows
-
     @cached_property
     def _solver(self) -> QMatrix:
         ct = self.complement.basis.transpose()
         return ct @ inverse(self.complement.basis @ ct)
-
-    def coordinates(self, x: Sequence) -> Vector:
-        return self.class_rows(QMatrix([x])).rows[0]
-
-    def sparse_coordinates(self, vec: Mapping[int, Fraction]) -> Vector:
-        """`coordinates` of a vector given by its nonzero entries."""
-        return self.class_rows(QMatrix.from_sparse([vec], self.total.ambient_dim)).rows[0]
 
     def class_rows(self, vectors: QMatrix) -> QMatrix:
         """vectors @ S^T, after checking each row's integer form is in v (NotInSubspace)."""
@@ -796,10 +759,6 @@ class QuotientSpace:
         if not all(self.total._reduces_to_zero(nums) for nums, _ in vectors.int_rows):
             raise NotInSubspace("vector is not in the total space of the quotient")
         return vectors @ self._solver
-
-    def class_matrix(self, vectors: QMatrix) -> QMatrix:
-        """`class_rows` as columns: column j holds the class coordinates of row j."""
-        return self.class_rows(vectors).transpose()
 
 
 def quotient_structure(w: Subspace, v: Subspace) -> QuotientSpace:

@@ -40,3 +40,13 @@ def test_an_op_whose_output_changed_fails_the_run(tmp_path):
     assert done.returncode == 1
     assert "example1: report JSON changed" in done.stderr
     assert json.loads(expected.read_text()) == pinned
+
+
+def test_an_unknown_workload_exits_2_naming_the_valid_ones():
+    """The names come from BENCHMARK.json; no side is loaded for a bad one."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    done = _run(ROOT, ROOT, "nil99")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "unknown workload 'nil99'" in done.stderr
+    assert f"(choose from {', '.join(w['name'] for w in declared)})" in done.stderr

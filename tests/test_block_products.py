@@ -2,12 +2,12 @@
 
 `combination` sums c * (A @ B) and c * A terms in one pass; it is
 checked against dense Fraction arithmetic and against `@`, `+`, `-`
-and `scaled` applied one at a time.  `+` and `-` are its two-term
+and one-term scalings applied one at a time.  `+` and `-` are its two-term
 cases, while `@` has its own one-product loop, picked by the term
 count, so the `composed` oracle compares two loops: `combination`'s
-multi-term sum against the products of `@`.  `QuotientSpace.class_matrix`
-is checked against per-vector `sparse_coordinates` on every quotient the
-cohomology engine builds, and the c x c Gram solver of
+multi-term sum against the products of `@`.  `QuotientSpace.class_rows`
+of a whole block is checked against its rows taken one at a time on
+every quotient the cohomology engine builds, and the c x c Gram solver of
 `quotient_structure` (cached as its transpose S^T) against the
 (c + w) x (c + w) Gram split it replaces, which stays here as the
 oracle.
@@ -83,14 +83,14 @@ def dense(terms) -> QMatrix:
 
 
 def composed(terms) -> QMatrix:
-    """The same sum with `@`, `+`, `-` and `scaled`, one operation at a time."""
+    """The same sum with `@`, `+`, `-` and one-term scalings, one operation at a time."""
     total = None
     for c, a, *rest in terms:
         block = a @ rest[0] if rest else a
         if c == -1:
             total = -block if total is None else total - block
         else:
-            block = block.scaled(c)
+            block = combination([(c, block)])
             total = block if total is None else total + block
     return total
 
@@ -125,7 +125,7 @@ def test_combination_on_edge_operator_blocks():
 def test_combination_terms_without_right_factor():
     a = QMatrix([[Fraction(1, 2), 0], [0, Fraction(3, 7)]])
     b = QMatrix([[1, 1], [Fraction(-1, 3), 0]])
-    assert combination([(2, a), (Fraction(1, 5), b)]) == a.scaled(2) + b.scaled(Fraction(1, 5))
+    assert combination([(2, a), (Fraction(1, 5), b)]) == combination([(2, a)]) + combination([(Fraction(1, 5), b)])
     assert combination([(1, a), (-1, a)]) == QMatrix.zeros(2, 2)
     assert combination([(0, a, b)]) == QMatrix.zeros(2, 2)
 
@@ -183,9 +183,12 @@ def engine(request):
 def test_class_matrix_matches_sparse_coordinates(engine):
     for where, q in _quotients(engine):
         for vectors in (q.total.basis, q.complement.basis, q.sub.basis):
-            columns = [q.sparse_coordinates(row) for row in vectors.sparse_rows]
-            want = QMatrix.from_columns(columns, nrows=q.dim)
-            assert q.class_matrix(vectors) == want, where
+            columns = [
+                q.class_rows(QMatrix.from_sparse([row], q.total.ambient_dim)).rows[0]
+                for row in vectors.sparse_rows
+            ]
+            want = QMatrix(columns, q.dim).transpose()
+            assert q.class_rows(vectors).transpose() == want, where
 
 
 def test_class_matrix_rejects_rows_outside_the_total_space(engine):
@@ -197,7 +200,7 @@ def test_class_matrix_rejects_rows_outside_the_total_space(engine):
             continue
         rows = list(q.total.basis.sparse_rows) + [{outside[0]: Fraction(1)}]
         with pytest.raises(NotInSubspace):
-            q.class_matrix(QMatrix.from_sparse(rows, n))
+            q.class_rows(QMatrix.from_sparse(rows, n))
         checked += 1
     assert checked
 

@@ -6,7 +6,7 @@ compound of the inverse change; a random closed 2-form is one row
 product with the closed basis; the decomposition sum, L^r H^(0,s) and the
 H^(k,0) meet H^(0,2k) check are eliminations of stacked or multiplied
 blocks; class coordinates of one vector are the one-row case of
-`class_matrix`; HLC, the dd^Lambda-lemma, the Hard Lefschetz of
+`class_rows`; HLC, the dd^Lambda-lemma, the Hard Lefschetz of
 H_(d+d^Lambda) and L^r H^(0,s) are all `CohomologySpace.classes_of`,
 and H^(r,s) is `classes_of` the kernel rows M ker(d M).  Each is
 checked here against the route it replaced (Form wedges and
@@ -407,7 +407,7 @@ def test_one_vector_coordinates_write_it_over_the_representatives(engine):
         q = space.quotient
         reps = q.complement.basis
         for row in q.total.basis.sparse_rows:
-            coords = q.sparse_coordinates(row)
+            coords = q.class_rows(QMatrix.from_sparse([row], q.total.ambient_dim)).rows[0]
             assert len(coords) == q.dim
             rest = QMatrix.from_sparse([row], q.total.ambient_dim)
             if q.dim:
@@ -437,7 +437,7 @@ def test_every_constructor_gives_the_same_integer_rows(m, factor):
         QMatrix(values, m.ncols),
         QMatrix([[str(x) for x in row] for row in values], m.ncols),
         QMatrix.from_sparse([dict(row) for row in m.sparse_rows], m.ncols),
-        QMatrix.from_columns([list(col) for col in zip(*values)], m.nrows),
+        QMatrix([list(col) for col in zip(*values)], m.nrows).transpose(),
         QMatrix.from_ints(scaled_up, m.ncols),
     ]
     for other in built:

@@ -16,6 +16,7 @@ import sympcoh.symplectic
 from sympcoh import (
     Form, QMatrix, SymplecticCohomology, corpus_model, corpus_names, structure_from_model,
 )
+from sympcoh.linalg import combination
 from sympcoh.symplectic import SymplecticStructure
 
 
@@ -91,4 +92,4 @@ def test_building_a_structure_makes_no_combination_for_h(monkeypatch):
     # Every sum built is a block equation with a product in it; H was a lone scaled identity.
     assert calls and all(3 in lengths for lengths in calls)
     for k in range(s.dim + 1):
-        assert s.h_block(k) == QMatrix.identity(comb(s.dim, k)).scaled(s.n - k)
+        assert s.h_block(k) == combination([(s.n - k, QMatrix.identity(comb(s.dim, k)))])

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +240,36 @@ def test_compute_out_into_missing_directory_is_input_error(tmp_path, capsys):
     assert main(["compute", "torus6", "--json", "--out", str(target)]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compute", "example1", "--degree", "abc"], "argument --degree: invalid int value: 'abc'"),
+        (["compute"], "the following arguments are required: model"),
+        (["verify", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    ],
+)
+def test_argument_errors_exit_with_the_input_code(argv, message, capsys):
+    """Exit 2 is reserved for math validation errors; argparse's own code would collide."""
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: sympcoh")
+    assert f"error: {message}\n" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["compute", "--help"], ["verify", "-h"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: sympcoh")
+
+
+def test_argument_error_exit_status_of_the_process():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "sympcoh.cli", "verify", "--seed", "x"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_INPUT
+    assert "invalid int value: 'x'" in done.stderr

@@ -405,8 +405,8 @@ class TestCupPairing:
                         if q_deg == s_deg:
                             continue
                         b = engine.hrs_group(p, q_deg)
-                        for va in a.classes.vectors():
-                            for vb in b.classes.vectors():
+                        for va in a.classes.basis.rows:
+                            for vb in b.classes.basis.rows:
                                 assert engine.cup_pairing(va, k, vb) == 0
 
     def test_not_unimodular_rejected(self):

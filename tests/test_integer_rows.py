@@ -21,6 +21,7 @@ from sympcoh import (
     solve,
     subspace_sum,
 )
+from sympcoh.linalg import combination
 
 examples = settings(deadline=None, max_examples=60)
 
@@ -92,7 +93,7 @@ def test_sum_and_difference_match_fractions(ab):
 @given(wide_matrices(), wide_entries)
 def test_negation_scaling_and_transpose_match_fractions(m, f):
     assert_matches(-m, [[-x for x in row] for row in m.rows])
-    assert_matches(m.scaled(f), [[f * x for x in row] for row in m.rows])
+    assert_matches(combination([(f, m)]), [[f * x for x in row] for row in m.rows])
     assert_matches(m.transpose(), [list(col) for col in zip(*m.rows)])
 
 
@@ -162,8 +163,8 @@ def test_vector_kernels_match_fractions(mv):
     u = Subspace.spanned(QMatrix(v.basis.rows[:1], m.ncols))
     quotient = quotient_structure(u, v)
     x = [sum(c * row[j] for c, row in zip(vectors[0], v.basis.rows)) for j in range(m.ncols)]
-    coords = quotient.sparse_coordinates(sparse(x))
-    for c, rep in zip(coords, quotient.representatives):
+    coords = quotient.class_rows(QMatrix.from_sparse([sparse(x)], m.ncols)).rows[0]
+    for c, rep in zip(coords, quotient.complement.basis.rows):
         x = [a - c * b for a, b in zip(x, rep)]
     assert subspace_sum(u, Subspace.from_vectors(m.ncols, [x])).dim == u.dim
 

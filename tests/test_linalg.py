@@ -20,7 +20,7 @@ from sympcoh import (
     subspace_sum,
 )
 from sympcoh import linalg
-from sympcoh.linalg import as_vector
+from sympcoh.linalg import as_vector, combination
 
 
 def F(x):
@@ -156,7 +156,7 @@ class TestKernelImage:
         m = QMatrix([[1, 1, 0]])
         space = kernel(m)
         assert space.dim == 2
-        for vec in space.vectors():
+        for vec in space.basis.rows:
             assert all(x == 0 for x in m.apply(vec))
 
     def test_image_identity_full(self):
@@ -182,7 +182,7 @@ class TestKernelImage:
         space = kernel(m)
         assert rref_calls == [m.shape]
         assert space.dim == 3
-        assert all(not any(m.apply(v)) for v in space.vectors())
+        assert all(not any(m.apply(v)) for v in space.basis.rows)
 
     def test_kernel_eliminates_its_own_block_unflipped(self, monkeypatch):
         seen = []
@@ -272,28 +272,28 @@ class TestQuotient:
         v = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
         q = quotient_structure(v, v)
         assert q.dim == 0
-        assert q.coordinates([1, 1, 0]) == ()
+        assert q.class_rows(QMatrix([[1, 1, 0]])).rows[0] == ()
 
     def test_zero_quotient_uses_the_general_solver(self):
         v = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
         for q in (quotient_structure(v, v), quotient_structure(Subspace.zero(3), Subspace.zero(3))):
             assert q._solver == QMatrix.zeros(3, 0)
-            assert q.class_matrix(q.total.basis) == QMatrix.zeros(0, q.total.dim)
-            assert q.class_matrix(QMatrix.zeros(4, 3)) == QMatrix.zeros(0, 4)
+            assert q.class_rows(q.total.basis).transpose() == QMatrix.zeros(0, q.total.dim)
+            assert q.class_rows(QMatrix.zeros(4, 3)).transpose() == QMatrix.zeros(0, 4)
 
     def test_zero_denominator_gives_basis(self):
         v = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
         q = quotient_structure(Subspace.zero(3), v)
         assert q.dim == 2
-        assert q.representatives == v.basis.rows
+        assert q.complement.basis.rows == v.basis.rows
 
     def test_coordinates_of_representatives(self):
         v = Subspace.full(3)
         w = Subspace.from_vectors(3, [[1, 1, 1]])
         q = quotient_structure(w, v)
         assert q.dim == 2
-        for i, rep in enumerate(q.representatives):
-            coords = q.coordinates(rep)
+        for i, rep in enumerate(q.complement.basis.rows):
+            coords = q.class_rows(QMatrix([rep])).rows[0]
             assert coords == tuple(
                 Fraction(int(j == i)) for j in range(q.dim)
             )
@@ -304,7 +304,7 @@ class TestQuotient:
         v = Subspace.full(2)
         w = Subspace.from_vectors(2, [[1, 2]])
         q = quotient_structure(w, v)
-        assert q.coordinates([2, 4]) == (F(0),)
+        assert q.class_rows(QMatrix([[2, 4]])).rows[0] == (F(0),)
 
     def test_complement_needs_no_elimination_beyond_its_kernel(self, rref_calls):
         v = Subspace.from_vectors(4, [[1, 0, 2, 1], [0, 1, 1, -1], [1, 1, 0, F("1/2")]])
@@ -335,7 +335,7 @@ class TestQuotient:
         v = Subspace.from_vectors(2, [[1, 0]])
         q = quotient_structure(Subspace.zero(2), v)
         with pytest.raises(NotInSubspace):
-            q.coordinates([0, 1])
+            q.class_rows(QMatrix([[0, 1]]))
 
 
 class TestSolveInverse:
@@ -383,7 +383,7 @@ class TestCanonicalEntries:
         stored = [
             QMatrix([[value, 0]]).rows[0][0],
             as_vector([value])[0],
-            QMatrix([[1]]).scaled(value).rows[0][0],
+            combination([(value, QMatrix([[1]]))]).rows[0][0],
         ]
         for x in stored:
             assert x == exact
@@ -411,8 +411,8 @@ class TestSparseRows:
         zero = QMatrix.zeros(2, 2)
         assert (m - m).sparse_rows == ({}, {})
         assert (m + (-m)).sparse_rows == ({}, {})
-        assert m.scaled(0).sparse_rows == ({}, {})
-        assert m - m == zero and m.scaled(0) == zero
+        assert combination([(0, m)]).sparse_rows == ({}, {})
+        assert m - m == zero and combination([(0, m)]) == zero
         product = QMatrix([[1, 1]]) @ QMatrix([[1], [-1]])
         assert product.sparse_rows == ({},)
         assert product == QMatrix.zeros(1, 1)

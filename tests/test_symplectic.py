@@ -421,7 +421,7 @@ def test_a_star_block_corrupted_above_the_middle_fails_its_involution(j):
     """star_j star_{m-j} = I is checked on degree m - j < j, the pair's only involution check."""
     s = structure_from_model(corpus_model("example1"))
     walk = s._gram_blocks
-    s._gram_blocks = lambda: (g.scaled(2) if k == j else g for k, g in enumerate(walk()))
+    s._gram_blocks = lambda: (combination([(2, g)]) if k == j else g for k, g in enumerate(walk()))
     with pytest.raises(InternalInconsistencyError, match=rf"^star star != id on degree {6 - j} "):
         s.star_op
 

@@ -18,7 +18,7 @@ from sympcoh import (
     validate_symplectic,
 )
 from sympcoh.exterior import GradedOperator, nonzero_columns
-from sympcoh.linalg import QMatrix
+from sympcoh.linalg import QMatrix, combination
 from sympcoh.verify import (
     BASE_STRUCTURES,
     _catalog_algebra,
@@ -138,7 +138,7 @@ def _with_dlambda_block(s, k, block):
 def test_sign_flipped_dlambda_block_fails_commutation(k):
     s = structure_from_model(corpus_model("example1"))
     block = s.d_lambda_block(k)
-    flipped_columns = sum(1 for column in block.columns() if any(column))
+    flipped_columns = sum(1 for column in block.transpose().rows if any(column))
     assert flipped_columns
     _with_dlambda_block(s, k, -block)
     result = _suite(s)["commute_d_Lambda_is_dl"]
@@ -166,7 +166,7 @@ def test_perturbed_edge_dlambda_block_fails_commutation(k):
 def test_corrupted_star_block_raises(k, factor):
     s = structure_from_model(corpus_model("example1"))
     walk = s._gram_blocks
-    s._gram_blocks = lambda: (g.scaled(factor) if j == k else g for j, g in enumerate(walk()))
+    s._gram_blocks = lambda: (combination([(factor, g)]) if j == k else g for j, g in enumerate(walk()))
     with pytest.raises(InternalInconsistencyError, match=r"on degree \d at e\("):
         s.star_op
 
@@ -179,7 +179,7 @@ def _triple_product_failure(s, star) -> str | None:
         checks = (
             (star(m - k + 2) @ s.L_block(m - k) @ star(k) - s.lambda_block(k), k - 2,
              "Lambda != star L star"),
-            ((star(m - k + 1) @ s.d_block(m - k) @ star(k)).scaled(sign) - s.d_lambda_block(k),
+            (combination([(sign, star(m - k + 1) @ s.d_block(m - k) @ star(k))]) - s.d_lambda_block(k),
              k - 1, "star route to d^Lambda disagrees"),
         )
         for residual, target, what in checks:
