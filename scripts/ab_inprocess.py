@@ -18,7 +18,9 @@ Each side first runs one untimed cycle, which builds its process-level
 caches.  Round i then runs the whole cycle of `workloads.build(workload,
 seed + i)` on both sides, the parent first in even rounds, and times
 every op with `perf_counter`.  Prints each side's p50 and mean op time
-and the change / parent ratio of each.
+and the change / parent ratio of each, then one line per op label (in
+sorted order) with each side's p50 and their ratio, so an effect on one
+model or verify seed shows beside the totals.
 
 `--workload` must name a workload of the change checkout's
 `BENCHMARK.json` (the parent's, when the change has none); any other
@@ -73,8 +75,8 @@ def workload_names(checkouts: list[Path]) -> list[str]:
     return []
 
 
-def run_cycle(ops, times: list[float] | None) -> None:
-    """Run every op once, appending its time to *times*; exit 1 on a failed op."""
+def run_cycle(ops, times: dict[str, list[float]] | None) -> None:
+    """Run every op once, appending its time to times[label]; exit 1 on a failed op."""
     for op in ops:
         t0 = perf_counter()
         output = op.run()
@@ -83,7 +85,7 @@ def run_cycle(ops, times: list[float] | None) -> None:
         if problem is not None:
             sys.exit(f"ab_inprocess: {problem}")
         if times is not None:
-            times.append(elapsed)
+            times.setdefault(op.label, []).append(elapsed)
 
 
 def main() -> int:
@@ -104,15 +106,16 @@ def main() -> int:
     workloads = {side: load_side(checkouts[side], side) for side in SIDES}
     for side in SIDES:
         run_cycle(workloads[side].build(args.workload, args.seed), None)
-    times: dict[str, list[float]] = {side: [] for side in SIDES}
+    times: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
     for i in range(args.rounds):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             run_cycle(workloads[side].build(args.workload, args.seed + i), times[side])
 
+    every = {side: [t for ts in times[side].values() for t in ts] for side in SIDES}
     stats = {
-        side: (statistics.median(times[side]), statistics.fmean(times[side])) for side in SIDES
+        side: (statistics.median(every[side]), statistics.fmean(every[side])) for side in SIDES
     }
-    print(f"{args.workload}: {args.rounds} rounds, {len(times['parent'])} ops a side")
+    print(f"{args.workload}: {args.rounds} rounds, {len(every['parent'])} ops a side")
     for side in SIDES:
         p50, mean = stats[side]
         print(f"  {side:6}  p50 {p50 * 1e3:9.3f} ms  mean {mean * 1e3:9.3f} ms"
@@ -120,6 +123,11 @@ def main() -> int:
     p50_ratio = stats["change"][0] / stats["parent"][0]
     mean_ratio = stats["change"][1] / stats["parent"][1]
     print(f"  change / parent  p50 {p50_ratio:.3f}  mean {mean_ratio:.3f}")
+    width = max(map(len, times["parent"]))
+    for label in sorted(times["parent"]):
+        parent, change = (statistics.median(times[side][label]) for side in SIDES)
+        print(f"  {label:{width}}  parent p50 {parent * 1e3:9.3f} ms"
+              f"  change p50 {change * 1e3:9.3f} ms  change / parent {change / parent:.3f}")
     return 0
 
 

@@ -16,9 +16,10 @@ label over one `linalg.QuotientSpace`, which checks the inclusion on
 construction and builds its representatives on first use.  Each decision
 asks which classes a block of closed forms spans in a target cohomology;
 `CohomologySpace.classes_of` answers with one `class_rows` product and
-one elimination.  H^(r,s) is the span of M ker(d M), a basis of the
-closed part of L^r P^s = im M, and L^r H^(0,s) that of L^r of the
-H^(0,s) representatives.  Hard Lefschetz (of H_dR and of H_(d+d^Lambda))
+one elimination.  H^(r,s) for r >= 1 is the span of M ker(d M), a basis
+of the closed part of L^r P^s = im M; H^(0,s) that of the closed
+primitive forms; and L^r H^(0,s) that of L^r of the H^(0,s)
+representatives.  Hard Lefschetz (of H_dR and of H_(d+d^Lambda))
 holds at k when L^k of the H^(n-k) representatives spans dim H^(n-k) =
 dim H^(n+k) classes, and the dd^Lambda-lemma in degree k when the
 H_(d+d^Lambda) representatives span as many de Rham classes as there are
@@ -27,8 +28,10 @@ their stacked class bases, and the cup pairing is V S W^T for the
 representative bases V, W and the signed permutation S of
 `exterior.wedge_pairing`.  Kernels and images that two cohomologies
 share are computed once per engine: ker [d; d^Lambda; Lambda] for both
-primitive cohomologies, im d^Lambda for the d^Lambda and d d^Lambda
-cohomologies, and im d from de Rham.
+primitive cohomologies and H^(0,s) (on ker d meet ker Lambda, d^Lambda
+vanishes), im d^Lambda for the d^Lambda and d d^Lambda cohomologies,
+the RREF basis of im d d^Lambda for H_(d+d^Lambda) and im d d^Lambda
+meet P, and im d from de Rham.
 
 Checks backed by theorems run in assert mode: a failure raises
 InternalInconsistencyError, an implementation bug and never a
@@ -82,9 +85,14 @@ class CohomologySpace:
     C(ambient_dim, degree), the numerator's `ambient_dim`.  The
     constructor builds the `QuotientSpace`, which checks that the
     denominator lies in the numerator; its representatives are built on
-    first use.  *label* names the cohomology in the errors, which are
-    InternalInconsistencyError: every quotient here is backed by a
-    theorem (d^2 = 0 and its relatives), so a failure is a bug.
+    first use.  *label* names the cohomology in the errors.
+
+    Two failure policies, split by who supplies the rows.  `classes_of`
+    and `class_matrix` take rows the engine built, each closed by a
+    theorem (d^2 = 0 and its relatives), so a row outside the numerator
+    is a bug and raises InternalInconsistencyError, as a failed inclusion
+    on construction does.  `class_of` takes a caller's form, which may
+    simply not be closed: it lets the bare NotInSubspace through.
     """
 
     def __init__(
@@ -225,6 +233,11 @@ class SymplecticCohomology:
         """im d^Lambda_k, shared by the d^Lambda and d d^Lambda cohomologies."""
         return image(self.s.d_lambda_block(k))
 
+    @_memo
+    def _ddlambda_image(self, k: int) -> Subspace:
+        """im d d^Lambda_k, shared by H_(d+d^Lambda) and the primitive (d+d^Lambda)-cohomology."""
+        return image(self.s.dd_lambda_block(k))
+
     @cached_property
     def dlambda_dims(self) -> tuple[int, ...]:
         return tuple(
@@ -241,8 +254,9 @@ class SymplecticCohomology:
         spaces = []
         for k in range(self.s.dim + 1):
             numerator = kernel(QMatrix.stacked([self.s.d_block(k), self.s.d_lambda_block(k)]))
-            denominator = image(self.s.dd_lambda_block(k))
-            spaces.append(CohomologySpace(self.s.dim, k, numerator, denominator, "H_(d+dLambda)"))
+            spaces.append(
+                CohomologySpace(self.s.dim, k, numerator, self._ddlambda_image(k), "H_(d+dLambda)")
+            )
         return tuple(spaces)
 
     @cached_property
@@ -267,15 +281,15 @@ class SymplecticCohomology:
           ker [d; d^Lambda; Lambda] / (im d d^Lambda meet P)   and
           ker [d; Lambda] / d d^Lambda(P),
         where P = ker Lambda is the primitive subspace; the two dimensions
-        are asserted equal, and the first quotient is returned.
+        are asserted equal, and the first quotient is returned.  The meet
+        comes from the RREF basis B of im d d^Lambda that H_(d+d^Lambda)
+        shares, as im B^T meet ker Lambda.
         """
         s = self.s
         prim = s.primitive_subspace(sdeg)
         d, lam, ddl = s.d_block(sdeg), s.lambda_block(sdeg), s.dd_lambda_block(sdeg)
-        space = CohomologySpace(
-            s.dim, sdeg, self._closed_primitive(sdeg), image_meet_kernel(ddl, lam),
-            "PH_(d+dLambda)",
-        )
+        meet = image_meet_kernel(self._ddlambda_image(sdeg).basis.transpose(), lam)
+        space = CohomologySpace(s.dim, sdeg, self._closed_primitive(sdeg), meet, "PH_(d+dLambda)")
         second = CohomologySpace(
             s.dim, sdeg, kernel(QMatrix.stacked([d, lam])),
             Subspace.spanned(prim.basis @ ddl.transpose()),
@@ -290,7 +304,7 @@ class SymplecticCohomology:
 
     @_memo
     def _closed_primitive(self, sdeg: int) -> Subspace:
-        """ker [d; d^Lambda; Lambda] in degree sdeg, shared by both primitive cohomologies."""
+        """ker [d; d^Lambda; Lambda] in degree sdeg: both primitive cohomologies and H^(0,sdeg)."""
         s = self.s
         blocks = [s.d_block(sdeg), s.d_lambda_block(sdeg), s.lambda_block(sdeg)]
         return kernel(QMatrix.stacked(blocks))
@@ -330,10 +344,14 @@ class SymplecticCohomology:
                 QMatrix.zeros(0, comb(dim, degree)), dim,
             )
         space = self.de_rham[degree]
-        # L^r P^s is the image of M = L^r_s P^T, injective as r + s <= n, so
-        # M ker(d M) is a basis of its closed part.
-        lifted = self.s.lift(prim.basis, r, s)  # the rows of M^T
-        closed_part = kernel(self.s.d_block(degree) @ lifted.transpose()).basis @ lifted
+        if r:
+            # L^r P^s is the image of M = L^r_s P^T, injective as r + s <= n, so
+            # M ker(d M) is a basis of its closed part.
+            lifted = self.s.lift(prim.basis, r, s)  # the rows of M^T
+            closed_part = kernel(self.s.d_block(degree) @ lifted.transpose()).basis @ lifted
+        else:
+            # ker d meet ker Lambda: d^Lambda = d Lambda - Lambda d vanishes on it.
+            closed_part = self._closed_primitive(s).basis
         classes = space.classes_of(closed_part)
         rows = classes.basis @ space.representative_rows
         return HrsGroup(r, s, degree, classes.dim, classes, rows, dim)

@@ -28,7 +28,7 @@ block, which `QMatrix.apply_sparse` multiplies by.  `Subspace._remainder`
 is the one reduction against a basis, behind `reduce`, `contains`,
 `contains_subspace` and the membership check of `QuotientSpace.class_rows`,
 which takes the class coordinates of every row of a block as one product
-with the cached solver S^T.
+with the cached solver S^T, or over w = 0 reads them at v's pivots.
 
 `rref` returns one row per pivot, and a `Subspace` is just its unique
 RREF basis (the ambient dimension is its column count), so subspace
@@ -41,9 +41,13 @@ All values are immutable after construction, apart from data their
 owner derives on first use (a quotient's complement and solver), and all
 functions are pure; nothing here keeps shared mutable state.
 
-Degenerate inputs (a zero quotient, a meet with the zero space) take
-the general path.  A fast path stays where replaying the inputs of one
-corpus and one verify6 cycle showed it paying, in ms per op: `kernel`
+Degenerate inputs (a zero quotient over w != 0, a meet with the zero
+space) take the general path.  A fast path stays where replaying the
+inputs of one corpus and one verify6 cycle showed it paying, in ms per
+op: `class_rows` over w = 0 reads v's pivots instead of building and
+applying S^T (0.19-0.35 vs 0.35-0.62, 0.38-0.72 vs 0.80-1.49), a
+numerator of all of Q^N skips the membership checks of `class_rows` and
+`contains_subspace` (0.01 vs 0.20-0.36, 0.01-0.02 vs 0.33-0.62), `kernel`
 and `image` of a zero block (0.09-0.15 vs 0.32-0.57, 0.02-0.04 vs
 0.07-0.14), `QuotientSpace.complement` with w = 0 (0.01 vs 0.19-0.29),
 `transpose` of integer rows without `from_ints` (0.40-0.86 vs 0.61-1.30)
@@ -654,6 +658,8 @@ class Subspace:
 
     def contains_subspace(self, other: Subspace) -> bool:
         _check_ambient(self, other)
+        if self.dim == self.ambient_dim:  # all of Q^N
+            return True
         return all(self._reduces_to_zero(nums) for nums, _ in other.basis.int_rows)
 
 
@@ -713,7 +719,8 @@ class QuotientSpace:
     the rows of its inverse that write x = C^T a + W^T b as a are those
     of (C C^T)^{-1}: a = x S^T for S^T = C^T (C C^T)^{-1}, cached with
     the c x c Gram block inverted once, on the first class coordinates
-    asked for.  The zero quotient uses the same S^T, over a 0 x 0 Gram block.
+    asked for.  Over w = 0, `class_rows` reads them at v's pivots
+    instead; a zero quotient over w != 0 uses S^T over a 0 x 0 Gram block.
     """
 
     total: Subspace
@@ -751,14 +758,27 @@ class QuotientSpace:
         return ct @ inverse(self.complement.basis @ ct)
 
     def class_rows(self, vectors: QMatrix) -> QMatrix:
-        """vectors @ S^T, after checking each row's integer form is in v (NotInSubspace)."""
-        if vectors.ncols != self.total.ambient_dim:
-            raise AmbientMismatch(
-                f"vectors of length {vectors.ncols} != ambient {self.total.ambient_dim}"
-            )
-        if not all(self.total._reduces_to_zero(nums) for nums, _ in vectors.int_rows):
+        """vectors @ S^T, after checking each row's integer form is in v (NotInSubspace).
+
+        A row of all of Q^N needs no check.  Over w = 0 the representatives
+        are v's RREF basis V, 1 at its own pivot and 0 at the others', so
+        x = a V has a = x read at V's pivots, and S^T is never built.
+        """
+        v = self.total
+        if vectors.ncols != v.ambient_dim:
+            raise AmbientMismatch(f"vectors of length {vectors.ncols} != ambient {v.ambient_dim}")
+        if v.dim < v.ambient_dim and not all(
+            v._reduces_to_zero(nums) for nums, _ in vectors.int_rows
+        ):
             raise NotInSubspace("vector is not in the total space of the quotient")
-        return vectors @ self._solver
+        if self.sub.dim:
+            return vectors @ self._solver
+        pivots = v.pivots
+        return QMatrix.from_ints(
+            [({i: nums[p] for i, p in enumerate(pivots) if p in nums}, den)
+             for nums, den in vectors.int_rows],
+            v.dim,
+        )
 
 
 def quotient_structure(w: Subspace, v: Subspace) -> QuotientSpace:

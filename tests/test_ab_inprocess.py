@@ -25,6 +25,15 @@ def test_one_a_a_round_prints_both_sides_and_their_ratios():
     for line, side in zip(lines[1:3], ("parent", "change")):
         assert re.match(rf"  {side} +p50 +\d+\.\d{{3}} ms  mean +\d+\.\d{{3}} ms  \(", line)
     assert re.fullmatch(r"  change / parent  p50 \d\.\d{3}  mean \d\.\d{3}", lines[3])
+    # Then one line per op label, sorted: each side's p50 and their ratio.
+    labels = [f"verify-{seed}" for seed in range(4)]
+    assert len(lines) == 4 + len(labels)
+    for line, label in zip(lines[4:], labels):
+        assert re.fullmatch(
+            rf"  {label}  parent p50 +\d+\.\d{{3}} ms  change p50 +\d+\.\d{{3}} ms"
+            r"  change / parent \d\.\d{3}",
+            line,
+        ), line
 
 
 def test_an_op_whose_output_changed_fails_the_run(tmp_path):

@@ -8,12 +8,15 @@ H^(k,0) meet H^(0,2k) check are eliminations of stacked or multiplied
 blocks; class coordinates of one vector are the one-row case of
 `class_rows`; HLC, the dd^Lambda-lemma, the Hard Lefschetz of
 H_(d+d^Lambda) and L^r H^(0,s) are all `CohomologySpace.classes_of`,
-and H^(r,s) is `classes_of` the kernel rows M ker(d M).  Each is
-checked here against the route it replaced (Form wedges and
-substitutions, sums of `Form.from_vector`, the running `subspace_sum`
-fold, per-vector `apply`, the Zassenhaus `subspace_intersect`, the
-`rref` rank of an induced matrix, the RREF basis of im M meet ker d from
-`image_meet_kernel`), which stays in this file as the oracle.  Every
+H^(r,s) is `classes_of` the kernel rows M ker(d M), H^(0,s) that of the
+shared closed primitive forms, and im d d^Lambda meet P comes from the
+shared RREF basis of im d d^Lambda.  Each is checked here against the
+route it replaced (Form wedges and substitutions, sums of
+`Form.from_vector`, the running `subspace_sum` fold, per-vector `apply`,
+the Zassenhaus `subspace_intersect`, the `rref` rank of an induced
+matrix, the RREF basis of im M meet ker d from `image_meet_kernel`,
+ker(d P^T) P, the meet from the whole d d^Lambda block), which stays in
+this file as the oracle.  Every
 `QMatrix` constructor is checked to give the same canonical integer
 rows and to keep none of its caller's containers.
 """
@@ -75,6 +78,13 @@ def engine(request):
 def random_engines():
     rng = random.Random(7)
     return [SymplecticCohomology(random_symplectic_structure(6, rng)) for _ in range(2)]
+
+
+@pytest.fixture(scope="module")
+def seeded_engines():
+    """Seeded dim-4 and dim-6 verify structures."""
+    rng = random.Random(29)
+    return [SymplecticCohomology(random_symplectic_structure(dim, rng)) for dim in (4, 4, 6, 6)]
 
 
 # -- the wedge pairing, the star and the cup pairing ----------------------------
@@ -316,6 +326,25 @@ def test_hrs_classes_of_the_kernel_rows_match_the_meet_basis(engine, random_engi
     assert checked
 
 
+def test_h0s_classes_match_the_closed_kernel_rows_of_p(engine, seeded_engines):
+    """H^(0,s) from the shared ker [d; d^Lambda; Lambda], against ker(d P^T) P."""
+    checked = 0
+    for coh in [engine, *seeded_engines]:
+        for s in range(coh.s.n + 1):
+            prim = coh.s.primitive_subspace(s).basis
+            closed = kernel(coh.s.d_block(s) @ prim.transpose()).basis @ prim
+            assert coh.hrs_group(0, s).classes == coh.de_rham[s].classes_of(closed), s
+            checked += 1
+    assert checked
+
+
+def test_primitive_ph_plus_meet_matches_the_dd_lambda_block_route(engine):
+    """im d d^Lambda meet P from the shared RREF basis, against the whole d d^Lambda block."""
+    for sdeg in range(engine.s.dim + 1):
+        want = image_meet_kernel(engine.s.dd_lambda_block(sdeg), engine.s.lambda_block(sdeg))
+        assert engine.primitive_ph_plus(sdeg).denominator == want, sdeg
+
+
 @pytest.mark.parametrize("corruption", ["high_degree_zeroed", "l_power_zeroed"])
 def test_a_failed_d_plus_dlambda_lefschetz_names_k_and_both_degrees(
     engine, monkeypatch, corruption
@@ -395,8 +424,16 @@ def test_groups_zero_by_degree_skip_the_meet(engine, monkeypatch):
         assert group.dim == 0 and group.representatives == ()
         assert group.classes == Subspace.zero(fresh.betti[2 * r + s])
     assert calls == []
-    fresh.hrs_group(0, 1)  # a group that is not zero by degree takes the meet
-    assert calls == [(fresh.s.d_block(1).nrows, fresh.s.primitive_subspace(1).dim)]
+    r, s = next(
+        (r, s) for s in range(dim + 1) for r in range(1, (dim - s) // 2 + 1)
+        if (r, s) not in zero_by_degree
+    )
+    fresh.hrs_group(r, s)  # an r >= 1 group that is not zero by degree takes the meet
+    assert calls == [(fresh.s.d_block(2 * r + s).nrows, fresh.s.primitive_subspace(s).dim)]
+    fresh._closed_primitive(1)
+    calls.clear()
+    fresh.hrs_group(0, 1)  # H^(0,s) reads the memoized closed primitive forms
+    assert calls == []
 
 
 # -- class coordinates of one vector ---------------------------------------------------

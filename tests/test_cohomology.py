@@ -9,6 +9,7 @@ import pytest
 from sympcoh import (
     Form,
     InternalInconsistencyError,
+    NotInSubspace,
     NotUnimodular,
     QMatrix,
     QuotientSpace,
@@ -196,6 +197,19 @@ class TestOneQuotientType:
                 InternalInconsistencyError, match=re.escape(f"H_dR in degree {space.degree}")
             ):
                 space.classes_of(outside)
+
+    def test_only_class_of_lets_a_bare_not_in_subspace_through(self, example1):
+        """`class_of` takes caller forms, so a non-closed one is the caller's NotInSubspace;
+        `classes_of` and `class_matrix` take engine rows, where the same row is a bug."""
+        space, outside = next(_non_closed_unit_rows(example1))
+        with pytest.raises(NotInSubspace) as caught:
+            space.class_of(outside.rows[0])
+        assert not isinstance(caught.value, InternalInconsistencyError)
+        for route in (space.classes_of, space.class_matrix):
+            with pytest.raises(
+                InternalInconsistencyError, match=re.escape(f"H_dR in degree {space.degree}")
+            ):
+                route(outside)
 
     def test_reading_only_the_dimension_builds_no_quotient(self, monkeypatch):
         """`dim` builds no complement; the representatives build exactly one."""

@@ -337,6 +337,17 @@ class TestQuotient:
         with pytest.raises(NotInSubspace):
             q.class_rows(QMatrix([[0, 1]]))
 
+    def test_a_full_numerator_still_checks_the_width(self):
+        """All of Q^N needs no membership check, but a row of another width is refused."""
+        full = Subspace.full(3)
+        for sub in (Subspace.zero(3), Subspace.from_vectors(3, [[1, 0, 0]])):
+            q = quotient_structure(sub, full)
+            with pytest.raises(AmbientMismatch):
+                q.class_rows(QMatrix([[1, 2]]))
+            assert q.class_rows(QMatrix([[1, 2, 3]])).ncols == q.dim
+        with pytest.raises(AmbientMismatch):
+            full.contains_subspace(Subspace.full(2))
+
 
 class TestSolveInverse:
     def test_solve_consistent(self):

@@ -194,6 +194,18 @@ def test_subspaces_come_out_in_rref(seed):
 
 
 @settings(deadline=None, max_examples=40)
+@given(sparse_matrices(), st.data())
+def test_zero_denominator_class_rows_match_the_solver(m, data):
+    """Over w = 0 `class_rows` reads rows at v's pivots; rows @ S^T stays the oracle."""
+    for v in (Subspace.spanned(m), Subspace.full(m.ncols)):
+        q = quotient_structure(Subspace.zero(m.ncols), v)
+        combos = data.draw(st.lists(st.lists(entries, min_size=v.dim, max_size=v.dim),
+                                    max_size=4))
+        rows = QMatrix.stacked([m, QMatrix(combos, v.dim) @ v.basis])
+        assert q.class_rows(rows) == rows @ q._solver
+
+
+@settings(deadline=None, max_examples=40)
 @given(sparse_matrices(), st.lists(entries, min_size=12, max_size=12))
 def test_solve_matches_sympy(m, rhs):
     b = rhs[: m.nrows]
