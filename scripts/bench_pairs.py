@@ -14,8 +14,11 @@ Pair i uses seed first_seed + i on both sides; the parent runs first in
 even pairs and the change first in odd pairs.  For every
 end-to-end metric of BENCHMARK.json the file records each side's
 quartiles (inclusive method) and raw runs, in how many pairs the
-change was better (ties count for neither side) and a verdict; per
-workload it records attempted and failed ops.
+change was better (ties count for neither side), the median and
+interquartile range of the per-pair ratios change/parent (the two runs
+of a pair share the machine's drift, which the ratio cancels) and a
+verdict; per workload it records attempted and failed ops.  The ratios
+are recorded beside the verdict and do not enter it.
 
 The claimed metric's verdict is "claim met" when the change won at
 least 9 in 10 pairs and its median beats the parent's by more than the
@@ -65,6 +68,14 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": round(q1, 5), "median": round(median, 5), "q3": round(q3, 5)}
 
 
+def pair_ratios(parent: list[float], change: list[float]) -> dict | None:
+    """Median and IQR of change/parent over the pairs; None if a parent run reads 0."""
+    if not all(parent):
+        return None
+    q1, median, q3 = _quartiles([c / p for p, c in zip(parent, change)])
+    return {"median": round(median, 5), "iqr": round(q3 - q1, 5)}
+
+
 def verdict(metric: dict, parent: list[float], change: list[float], claimed: bool) -> str:
     """The verdict on one metric of one workload; see the module docstring."""
     sign = 1 if metric["better"] == "lower" else -1
@@ -101,6 +112,7 @@ def summarize(spec: dict, runs: dict[str, list[dict]], claimed: str | None = Non
             "parent": quartiles(values["parent"]),
             "change": quartiles(values["change"]),
             "change_wins": f"{wins}/{len(values['change'])}",
+            "pair_ratio": pair_ratios(values["parent"], values["change"]),
             "parent_runs": [round(v, 5) for v in values["parent"]],
             "change_runs": [round(v, 5) for v in values["change"]],
         }
@@ -155,7 +167,9 @@ def main() -> int:
         workloads[workload] = summarize(spec, runs, claimed)
         for name, entry in workloads[workload].items():
             if "verdict" in entry:
-                print(f"{workload} {name}: {entry['verdict']}", flush=True)
+                ratio = entry["pair_ratio"] or {"median": float("nan"), "iqr": float("nan")}
+                print(f"{workload} {name}: {entry['verdict']}; change/parent per pair "
+                      f"median {ratio['median']:.3f}, IQR {ratio['iqr']:.3f}", flush=True)
 
     first, last = args.first_seed, args.first_seed + args.pairs - 1
     report = {

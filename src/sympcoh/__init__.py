@@ -82,13 +82,37 @@ from .symplectic import (
     lefschetz_coefficient,
     validate_symplectic,
 )
-from .verify import (
-    VerifySummary,
-    random_form,
-    random_symplectic_structure,
-    run_verify,
-    transform_coframe,
+
+
+def _on_first_use(name: str):
+    """Submodule *name*, registered in sys.modules; its code runs on first attribute access."""
+    import sys
+    from importlib.util import LazyLoader, find_spec, module_from_spec
+
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# No `run_compute` caller needs `verify`, so it is compiled and run on first use.
+# `import sympcoh` still lists it in sys.modules, and its public names resolve
+# through __getattr__.
+verify = _on_first_use("verify")
+_VERIFY_NAMES = frozenset(
+    {"VerifySummary", "random_form", "random_symplectic_structure", "run_verify",
+     "transform_coframe"}
 )
+
+
+def __getattr__(name: str):
+    """A public name of `verify`, loaded and cached on first access (PEP 562)."""
+    if name not in _VERIFY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(verify, name)
+    return value
+
 
 __version__ = "0.1.0"
 

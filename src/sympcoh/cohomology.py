@@ -44,12 +44,12 @@ and full-implies-dual-direct; elsewhere these raise NotUnimodular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
 from typing import Mapping, Sequence
 
+from ._value import Frozen
 from .errors import (
     AmbientMismatch, InternalInconsistencyError, NotInSubspace, NotSubspace, NotUnimodular,
 )
@@ -61,7 +61,6 @@ from .linalg import (
     Subspace,
     Vector,
     image,
-    image_meet_kernel,
     kernel,
     subspace_sum,
 )
@@ -171,8 +170,7 @@ def _forms(dim: int, degree: int, rows: QMatrix) -> tuple[Form, ...]:
     return tuple(Form.from_sparse(dim, degree, row) for row in rows.sparse_rows)
 
 
-@dataclass(frozen=True)
-class HrsGroup:
+class HrsGroup(Frozen):
     """Classes of omega^r wedge (closed primitive s-form) inside H^{2r+s}.
 
     *representative_rows* holds one lex coordinate row per basis class,
@@ -180,32 +178,33 @@ class HrsGroup:
     Forms on first read.
     """
 
-    r: int
-    s: int
-    degree: int
-    dim: int
-    classes: Subspace
-    representative_rows: QMatrix
-    ambient_dim: int
+    _fields = ("r", "s", "degree", "dim", "classes", "representative_rows", "ambient_dim")
+
+    def __init__(self, r: int, s: int, degree: int, dim: int, classes: Subspace,
+                 representative_rows: QMatrix, ambient_dim: int):
+        self.__dict__.update(r=r, s=s, degree=degree, dim=dim, classes=classes,
+                             representative_rows=representative_rows, ambient_dim=ambient_dim)
 
     @cached_property
     def representatives(self) -> tuple[Form, ...]:
         return _forms(self.ambient_dim, self.degree, self.representative_rows)
 
 
-@dataclass(frozen=True)
-class DecompositionVerdict:
-    degree: int
-    summand_dims: Mapping[tuple[int, int], int]
-    sum_dim: int
-    direct: bool
-    full: bool
+class DecompositionVerdict(Frozen):
+    _fields = ("degree", "summand_dims", "sum_dim", "direct", "full")
+
+    def __init__(self, degree: int, summand_dims: Mapping[tuple[int, int], int], sum_dim: int,
+                 direct: bool, full: bool):
+        self.__dict__.update(degree=degree, summand_dims=summand_dims, sum_dim=sum_dim,
+                             direct=direct, full=full)
 
 
-@dataclass(frozen=True)
-class HlcResult:
-    per_degree: tuple[bool, ...]  # index k: L^k iso from H^{n-k} to H^{n+k}
-    overall: bool
+class HlcResult(Frozen):
+    _fields = ("per_degree", "overall")
+
+    def __init__(self, per_degree: tuple[bool, ...], overall: bool):
+        # per_degree[k]: L^k is an isomorphism from H^{n-k} to H^{n+k}
+        self.__dict__.update(per_degree=per_degree, overall=overall)
 
 
 class SymplecticCohomology:
@@ -283,12 +282,14 @@ class SymplecticCohomology:
         where P = ker Lambda is the primitive subspace; the two dimensions
         are asserted equal, and the first quotient is returned.  The meet
         comes from the RREF basis B of im d d^Lambda that H_(d+d^Lambda)
-        shares, as im B^T meet ker Lambda.
+        shares, as K B for the RREF basis K of ker(Lambda B^T); K B is in
+        RREF already, by the argument of `QuotientSpace.complement`.
         """
         s = self.s
         prim = s.primitive_subspace(sdeg)
         d, lam, ddl = s.d_block(sdeg), s.lambda_block(sdeg), s.dd_lambda_block(sdeg)
-        meet = image_meet_kernel(self._ddlambda_image(sdeg).basis.transpose(), lam)
+        image_basis = self._ddlambda_image(sdeg).basis
+        meet = Subspace(kernel(lam @ image_basis.transpose()).basis @ image_basis)
         space = CohomologySpace(s.dim, sdeg, self._closed_primitive(sdeg), meet, "PH_(d+dLambda)")
         second = CohomologySpace(
             s.dim, sdeg, kernel(QMatrix.stacked([d, lam])),

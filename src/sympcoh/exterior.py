@@ -29,13 +29,13 @@ multiplication, `Bivector`).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from ._value import Frozen
 from .errors import DimMismatch, MixedDegree
 from .linalg import IntRow, QMatrix, SparseRow, Vector, _exact, _int_row
 
@@ -399,23 +399,21 @@ def _compounds(top: list[dict[int, int]], dim: int) -> Iterator[list[dict[int, i
         yield minors
 
 
-@dataclass(frozen=True)
-class Bivector:
+class Bivector(Frozen):
     """Element of the second exterior power of the primal space."""
 
-    dim: int
-    coeffs: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
+    _fields = ("dim", "coeffs")
 
-    def __post_init__(self):
+    def __init__(self, dim: int, coeffs: Mapping[tuple[int, int], Fraction] | None = None):
         clean = {}
-        for (i, j), value in self.coeffs.items():
+        for (i, j), value in (coeffs or {}).items():
             c = _exact(value)
             if not c:
                 continue
-            if not (1 <= i < j <= self.dim):
-                raise ValueError(f"bad bivector key ({i}, {j}) for dim {self.dim}")
+            if not (1 <= i < j <= dim):
+                raise ValueError(f"bad bivector key ({i}, {j}) for dim {dim}")
             clean[(i, j)] = c
-        object.__setattr__(self, "coeffs", clean)
+        self.__dict__.update(dim=dim, coeffs=clean)
 
     @classmethod
     def from_matrix(cls, m: QMatrix) -> Bivector:
@@ -464,8 +462,7 @@ def operator_matrix(
     return QMatrix.from_sparse(rows, len(source))
 
 
-@dataclass(frozen=True)
-class GradedOperator:
+class GradedOperator(Frozen):
     """Graded linear operator stored as one exact matrix per source degree.
 
     `shift` is the degree shift; `shift=None` marks a degree-reversing
@@ -475,9 +472,10 @@ class GradedOperator:
     blocks come out right without special cases.
     """
 
-    dim: int
-    shift: int | None
-    blocks: Mapping[int, QMatrix]
+    _fields = ("dim", "shift", "blocks")
+
+    def __init__(self, dim: int, shift: int | None, blocks: Mapping[int, QMatrix]):
+        self.__dict__.update(dim=dim, shift=shift, blocks=blocks)
 
     def target_degree(self, k: int) -> int:
         return self.dim - k if self.shift is None else k + self.shift

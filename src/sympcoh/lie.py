@@ -19,11 +19,11 @@ only ever consume d, so any consistent choice gives the same cohomology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
 
+from ._value import Frozen
 from .errors import JacobiViolation
 from .exterior import Form, GradedOperator, _wedge_table, nonzero_columns
 from .linalg import QMatrix, Subspace, Vector, _int_row, _over_lcm, as_vector, combination
@@ -129,11 +129,11 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, structure={self.structure.source_text!r})"
 
 
-@dataclass(frozen=True)
-class AlgebraProperties:
-    nilpotent: bool
-    solvable: bool
-    unimodular: bool
+class AlgebraProperties(Frozen):
+    _fields = ("nilpotent", "solvable", "unimodular")
+
+    def __init__(self, nilpotent: bool, solvable: bool, unimodular: bool):
+        self.__dict__.update(nilpotent=nilpotent, solvable=solvable, unimodular=unimodular)
 
 
 def build_lie_algebra(structure: StructureEquations) -> LieAlgebra:

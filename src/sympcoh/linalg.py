@@ -73,12 +73,12 @@ converted once with ``Fraction(x)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
+from ._value import Frozen
 from .errors import AmbientMismatch, NotInSubspace, NotSubspace
 
 __all__ = [
@@ -563,15 +563,17 @@ def inverse(m: QMatrix) -> QMatrix:
     )
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """Linear subspace of Q^ambient_dim, held as its canonical RREF basis.
 
     Two subspaces are equal exactly when their bases are identical;
     `from_vectors` canonicalizes any generating set.
     """
 
-    basis: QMatrix  # rows = basis vectors, in RREF, no zero rows
+    _fields = ("basis",)
+
+    def __init__(self, basis: QMatrix):
+        self.__dict__["basis"] = basis  # rows = basis vectors, in RREF, no zero rows
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> Subspace:
@@ -703,8 +705,7 @@ def image_meet_kernel(m: QMatrix, a: QMatrix) -> Subspace:
     return Subspace.spanned(kernel(a @ m).basis @ m.transpose())
 
 
-@dataclass(frozen=True)
-class QuotientSpace:
+class QuotientSpace(Frozen):
     """Quotient v / w with orthogonal-complement representatives.
 
     `QuotientSpace(v, w)` checks w <= v (NotSubspace), and `dim` is
@@ -723,12 +724,12 @@ class QuotientSpace:
     instead; a zero quotient over w != 0 uses S^T over a 0 x 0 Gram block.
     """
 
-    total: Subspace
-    sub: Subspace
+    _fields = ("total", "sub")
 
-    def __post_init__(self):
-        if not self.total.contains_subspace(self.sub):
+    def __init__(self, total: Subspace, sub: Subspace):
+        if not total.contains_subspace(sub):
             raise NotSubspace("the denominator is not contained in the numerator")
+        self.__dict__.update(total=total, sub=sub)
 
     @property
     def dim(self) -> int:

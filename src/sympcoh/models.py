@@ -21,8 +21,8 @@ optional `-` and ASCII digits; one that is not positive or lies above
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from ._value import Frozen
 from .errors import InputError, ModelFileError
 from .parsing import MAX_DIM
 
@@ -41,21 +41,19 @@ FLAG_LATTICE = "assert-lattice"
 VALID_FLAGS = frozenset({FLAG_COMPLETELY_SOLVABLE, FLAG_LATTICE})
 
 
-@dataclass(frozen=True)
-class ModelFile:
+class ModelFile(Frozen):
     """One Lie algebra with an optional invariant symplectic form."""
 
-    name: str
-    structure: str
-    dim: int | None = None
-    omega: str | None = None
-    flags: frozenset[str] = frozenset()
-    extra_forms: tuple[tuple[str, str], ...] = ()
+    _fields = ("name", "structure", "dim", "omega", "flags", "extra_forms")
 
-    def __post_init__(self):
-        bad = self.flags - VALID_FLAGS
+    def __init__(self, name: str, structure: str, dim: int | None = None,
+                 omega: str | None = None, flags: frozenset[str] = frozenset(),
+                 extra_forms: tuple[tuple[str, str], ...] = ()):
+        bad = flags - VALID_FLAGS
         if bad:
             raise ModelFileError(f"unknown flags: {sorted(bad)}")
+        self.__dict__.update(name=name, structure=structure, dim=dim, omega=omega, flags=flags,
+                             extra_forms=extra_forms)
 
 
 def parse_model_text(text: str, default_name: str = "model") -> ModelFile:

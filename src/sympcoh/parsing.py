@@ -30,9 +30,9 @@ nonzero degree-0 form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Frozen, Value
 from .errors import EntryCountMismatch, IndexOutOfRange, ParseError
 from .exterior import MAX_DIM, Form, sort_with_sign
 
@@ -64,30 +64,30 @@ def _to_int(text: str, position: int) -> int:
         raise ParseError(f"number of {len(text)} digits is too long", position) from None
 
 
-@dataclass(frozen=True)
-class StructureEquations:
+class StructureEquations(Frozen):
     """Differentials of the coframe: entry k is d e^{k+1}, a 2-form."""
 
-    dim: int
-    differentials: tuple[Form, ...]
-    source_text: str = ""
+    _fields = ("dim", "differentials", "source_text")
 
-    def __post_init__(self):
-        if len(self.differentials) != self.dim:
+    def __init__(self, dim: int, differentials: tuple[Form, ...], source_text: str = ""):
+        if len(differentials) != dim:
             raise ValueError("need one differential per generator")
-        for entry in self.differentials:
-            if entry.dim != self.dim:
+        for entry in differentials:
+            if entry.dim != dim:
                 raise ValueError("differential over wrong ambient dimension")
             if not entry.is_zero() and entry.degree != 2:
                 raise ValueError("differentials must be 2-forms")
+        self.__dict__.update(dim=dim, differentials=differentials, source_text=source_text)
 
 
-@dataclass
-class _RawTerm:
-    coeff: Fraction
-    indices: tuple[int, ...]
-    position: int
-    digit_run: bool
+class _RawTerm(Value):
+    _fields = ("coeff", "indices", "position", "digit_run")
+
+    def __init__(self, coeff: Fraction, indices: tuple[int, ...], position: int, digit_run: bool):
+        self.coeff = coeff
+        self.indices = indices
+        self.position = position
+        self.digit_run = digit_run
 
 
 class _Scanner:

@@ -13,10 +13,10 @@ Lie-algebra side and only bound the manifold-level groups from below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
+from ._value import Frozen
 from .cohomology import SymplecticCohomology, de_rham_cohomology
 from .errors import InputError
 from .exterior import render_form, render_row
@@ -58,11 +58,13 @@ def _structure_on(g: LieAlgebra, model: ModelFile) -> SymplecticStructure:
     return validate_symplectic(g, omega)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Frozen):
     """Computed results for one model, ready to serialize."""
 
-    data: dict[str, Any]
+    _fields = ("data",)
+
+    def __init__(self, data: dict[str, Any]):
+        self.__dict__["data"] = data
 
     @property
     def name(self) -> str:

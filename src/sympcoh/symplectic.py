@@ -31,13 +31,13 @@ decision procedures do not need them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from itertools import islice
 from math import comb, factorial, prod
 from typing import Iterator, Mapping
 
+from ._value import Frozen
 from .errors import (
     Degenerate,
     DimMismatch,
@@ -112,16 +112,16 @@ def lefschetz_coefficient(r: int, ell: int, n: int, k: int) -> Fraction:
     return Fraction(sign * m * m, prod(range(m - r, m + 1)) * prod(range(m, m + ell + 1)))
 
 
-@dataclass(frozen=True)
-class LefschetzComponents:
+class LefschetzComponents(Frozen):
     """Primitive components B^{(k-2r)} of a degree-k form.
 
     The decomposed form equals  sum_r (1/r!) L^r B^{(k-2r)}  exactly.
     """
 
-    degree: int
-    half_dim: int
-    components: Mapping[int, Form]
+    _fields = ("degree", "half_dim", "components")
+
+    def __init__(self, degree: int, half_dim: int, components: Mapping[int, Form]):
+        self.__dict__.update(degree=degree, half_dim=half_dim, components=components)
 
     def component(self, r: int) -> Form:
         form = self.components.get(r)

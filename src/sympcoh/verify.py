@@ -28,12 +28,12 @@ is guaranteed by construction while coefficients become generic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb
 
+from ._value import Value
 from .cohomology import SymplecticCohomology, is_abelian
 from .errors import InternalInconsistencyError, SympcohError
 from .exterior import Form, _compounds, monomial_basis, nonzero_columns
@@ -85,12 +85,15 @@ BASE_STRUCTURES: dict[int, tuple[str, ...]] = {
 }
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    failures: list[str] = field(default_factory=list)
+class CheckResult(Value):
+    _fields = ("name", "passed", "failed", "failures")
+
+    def __init__(self, name: str, passed: int = 0, failed: int = 0,
+                 failures: list[str] | None = None):
+        self.name = name
+        self.passed = passed
+        self.failed = failed
+        self.failures = [] if failures is None else failures
 
     def record(self, ok: bool, context: str = "") -> None:
         if ok:
@@ -105,11 +108,13 @@ class CheckResult:
         return self.failed == 0
 
 
-@dataclass
-class VerifySummary:
-    seed: int
-    structures: list[str]
-    results: dict[str, CheckResult]
+class VerifySummary(Value):
+    _fields = ("seed", "structures", "results")
+
+    def __init__(self, seed: int, structures: list[str], results: dict[str, CheckResult]):
+        self.seed = seed
+        self.structures = structures
+        self.results = results
 
     @property
     def ok(self) -> bool:

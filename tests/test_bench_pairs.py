@@ -100,3 +100,17 @@ def test_claim_verdict(change, verdict):
 )
 def test_bound_verdict(metric, parent, change, verdict):
     assert _module().verdict(metric, parent, change, claimed=False) == verdict
+
+
+def test_pair_ratios_are_recorded_beside_the_verdict():
+    module = _module()
+    parent = [1.0, 2.0, 1.0, 4.0, 1.0]
+    change = [0.5, 1.0, 0.8, 2.0, 0.9]  # ratios 0.5, 0.5, 0.8, 0.5, 0.9
+    assert module.pair_ratios(parent, change) == {"median": 0.5, "iqr": 0.3}
+    assert module.pair_ratios([0.0, 1.0], [1.0, 1.0]) is None
+    summary = module.summarize(SPEC, {"parent": _runs(parent, per_s=50.0),
+                                      "change": _runs(change, per_s=100.0)})
+    assert summary["op_p50_s"]["pair_ratio"] == {"median": 0.5, "iqr": 0.3}
+    assert summary["ops_per_s"]["pair_ratio"] == {"median": 2.0, "iqr": 0.0}
+    # The ratios do not enter the verdict.
+    assert summary["op_p50_s"]["verdict"] == module.verdict(OP_P50, parent, change, claimed=False)

@@ -345,6 +345,17 @@ def test_primitive_ph_plus_meet_matches_the_dd_lambda_block_route(engine):
         assert engine.primitive_ph_plus(sdeg).denominator == want, sdeg
 
 
+def test_primitive_ph_plus_meet_is_k_b_with_no_elimination(engine, seeded_engines):
+    """K B from the RREF bases K of ker(Lambda B^T) and B of im d d^Lambda is already in RREF,
+    and equals the meet of the whole d d^Lambda block with ker Lambda."""
+    for coh in [engine, *seeded_engines]:
+        for sdeg in range(coh.s.dim + 1):
+            meet = coh.primitive_ph_plus(sdeg).denominator
+            want = image_meet_kernel(coh.s.dd_lambda_block(sdeg), coh.s.lambda_block(sdeg))
+            assert meet == want, (coh.s.dim, sdeg)
+            assert rref(meet.basis)[0] == meet.basis, (coh.s.dim, sdeg)
+
+
 @pytest.mark.parametrize("corruption", ["high_degree_zeroed", "l_power_zeroed"])
 def test_a_failed_d_plus_dlambda_lefschetz_names_k_and_both_degrees(
     engine, monkeypatch, corruption

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -140,13 +139,17 @@ def test_non_unimodular_report_exits_0_with_a_non_direct_h2(tmp_path, capsys):
 
 
 def test_corrupted_h2_decomposition_on_a_unimodular_structure_exits_3(monkeypatch, capsys):
-    from sympcoh import SymplecticCohomology
+    from sympcoh import DecompositionVerdict, SymplecticCohomology
 
     original = SymplecticCohomology.decomposition
 
     def corrupted(self, degree):
         verdict = original(self, degree)
-        return replace(verdict, direct=False) if degree == 2 else verdict
+        if degree != 2:
+            return verdict
+        return DecompositionVerdict(
+            verdict.degree, verdict.summand_dims, verdict.sum_dim, False, verdict.full
+        )
 
     monkeypatch.setattr(SymplecticCohomology, "decomposition", corrupted)
     assert main(["compute", "example1"]) == EXIT_INCONSISTENT

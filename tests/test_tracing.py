@@ -9,6 +9,8 @@ the theorem checks.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from sympcoh import SymplecticCohomology, corpus_model, run_compute, run_verify
@@ -50,3 +52,24 @@ def test_tracer_wraps_one_verify_run():
     _, calls = tracer.self_times()
     for span in ("verify.operator_suite", "cohomology.hlc", "cohomology.checks"):
         assert calls[span] >= 1, span
+
+
+def test_tracer_installs_in_a_process_that_never_used_verify():
+    """`import sympcoh` registers `sympcoh.verify` unexecuted; installing runs it."""
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(TRACING.parents[1] / 'src')!r}, {str(TRACING.parent)!r}]\n"
+        "from sympcoh import corpus_model, run_compute\n"
+        "from tracing import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "try:\n"
+        "    tracer.run_op(0, lambda: run_compute(corpus_model('torus6')).to_json())\n"
+        "finally:\n"
+        "    tracer.uninstall()\n"
+        "print(tracer.self_times()[1]['linalg.kernel'] >= 1)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True"]
